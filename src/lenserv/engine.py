@@ -7,11 +7,14 @@ initial state, and returns a PreparedServer.  ``handle_get`` and
 so everything short of sockets is unit-testable; ``serve`` wraps them
 in a threaded stdlib HTTP server.
 
-Exactly two methods exist.  GET runs the lens forward and never touches
-state.  POST parses the body at the position schema the forward pass
-picked out, runs the lens backward, and applies the resulting diff; the
-whole read-update-write sequence happens inside one state transaction,
-so concurrent POSTs serialize.
+Exactly two methods exist, and both go through one request path.  GET
+runs the lens forward and never touches state.  POST parses the body at
+the position schema the forward pass picked out, runs the lens
+backward, checks the response against the request's response position,
+and only then applies the resulting diff; the whole read-update-write
+sequence happens inside one state transaction, so concurrent POSTs
+serialize, and a POST answered with anything but 200 has not changed
+state.
 
 Status mapping: 200 success, 400 bad body or handler-signalled domain
 error, 404 no route, 405 other methods, 413 oversized body, 500 broken
@@ -22,6 +25,7 @@ Every response body is JSON; errors look like ``{"error": "..."}``.
 import json
 import logging
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
@@ -133,56 +137,45 @@ def _route(p: PreparedServer, path: str) -> Value | None:
 
 
 def handle_get(p: PreparedServer, path: str) -> HttpResponse:
-    x = _route(p, path)
-    if x is None:
-        return _error(404, f"no route matches {path}")
-    state = p.cell.snapshot()
-    try:
-        y = p.server.lens.view(Pair(x, state))
-    except HandlerError as exc:
-        return _error(400, str(exc))
-    except Exception as exc:
-        return _error(500, f"forward pass failed: {exc}")
-    if not conforms(p.server.right.shape, y):
-        return _error(500, "forward pass broke the response contract")
-    return HttpResponse(200, encode_json(_strip_route_tags(p.server.right.shape, y)))
+    return _handle(p, path, None)
 
 
 def handle_post(p: PreparedServer, path: str, body: str) -> HttpResponse:
+    return _handle(p, path, body)
+
+
+def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
+    """Serve a GET (``body`` is None) or a POST.  A POST commits its diff
+    as the last step of its transaction, after every check has passed."""
     x = _route(p, path)
     if x is None:
         return _error(404, f"no route matches {path}")
-    with p.cell.transaction():
-        state = p.cell.snapshot()
-        try:
-            y = p.server.lens.view(Pair(x, state))
-            body_schema = p.server.right.position(y)
-        except HandlerError as exc:
-            return _error(400, str(exc))
-        except Exception as exc:
-            return _error(500, f"forward pass failed: {exc}")
-        try:
-            r = decode_json(body_schema, body)
-        except DecodeError as exc:
-            return _error(400, str(exc))
-        try:
-            out = p.server.lens.update(Pair(x, state), r)
-            response, diff = out.first, out.second
-        except HandlerError as exc:
-            return _error(400, str(exc))
-        except Exception as exc:
-            return _error(500, f"backward pass failed: {exc}")
-        try:
-            p.cell.apply_diff(diff)
-        except StateContractError as exc:
-            return _error(500, str(exc))
+    server = p.server
+    phase = "forward pass"
     try:
-        resp_schema = p.server.left.position(x)
+        with nullcontext() if body is None else p.cell.transaction():
+            v = Pair(x, p.cell.snapshot())
+            y = server.lens.view(v)
+            if body is None:
+                if not conforms(server.right.shape, y):
+                    return _error(500, "forward pass broke the response contract")
+                return HttpResponse(
+                    200, encode_json(_strip_route_tags(server.right.shape, y)))
+            r = decode_json(server.right.position(y), body)
+            phase = "backward pass"
+            out = server.lens.update(v, r)
+            phase = "response position"
+            if not conforms(server.left.position(x), out.first):
+                return _error(500, "backward pass broke the response contract")
+            phase = "state commit"
+            p.cell.apply_diff(out.second)
+    except (HandlerError, DecodeError) as exc:
+        return _error(400, str(exc))
+    except StateContractError as exc:
+        return _error(500, str(exc))
     except Exception as exc:
-        return _error(500, f"response position failed: {exc}")
-    if not conforms(resp_schema, response):
-        return _error(500, "backward pass broke the response contract")
-    return HttpResponse(200, encode_json(response))
+        return _error(500, f"{phase} failed: {exc}")
+    return HttpResponse(200, encode_json(out.first))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,13 @@ handlers, and state in one move, and each has an operator spelling:
     s >> l         focus responses through a lens
     l << s         adapt requests through a lens
 
+A server is a dependent lens, so composing servers is composing lenses.
+Only ``get_lens``, ``post_lens``, ``state_server``, ``lens_server``,
+``ext_choice`` and ``capture_prefix`` write their own backward pass;
+every other combinator is ``dep_compose`` / ``dep_parallel`` over
+identities and small adapters, so the backward threading lives in
+``deplens`` alone.
+
 Handlers written for ``get_lens`` / ``post_lens`` signal domain
 failures (division by zero, missing key) by raising ``HandlerError``;
 the HTTP engine turns that into a 400 response.
@@ -31,7 +38,7 @@ from .containers import (
     Container, agree, const_of, coproduct, pinned, product, tensor,
     unit_positions,
 )
-from .deplens import DepLens, dep_compose, dep_parallel, embed_plain
+from .deplens import DepLens, dep_identity, embed_plain
 from .lens import BoundaryMismatch, PlainLens
 from .values import (
     BoolS, Inl, Inr, IntS, NatS, Pair, ProdS, Schema, TextS, LitS, Unit,
@@ -96,10 +103,13 @@ def _server(left, param, right, view, update) -> Server:
                   DepLens(tensor(left, param), right, view, update))
 
 
+def _dep(l: PlainLens | DepLens) -> DepLens:
+    return embed_plain(l) if isinstance(l, PlainLens) else l
+
+
 def lens_server(l: PlainLens | DepLens) -> Server:
     """Embed a lens as a server with trivial (unit) state."""
-    if isinstance(l, PlainLens):
-        l = embed_plain(l)
+    l = _dep(l)
 
     def update(v, r):
         return Pair(l.update(v.first, r), v.second)
@@ -114,15 +124,8 @@ def reparam_server(s: Server, l: DepLens) -> Server:
     back through ``l.update``."""
     if not agree(l.dst, s.param):
         raise BoundaryMismatch(f"reparam: {l.dst!r} does not meet {s.param!r}")
-
-    def view(v):
-        return s.lens.view(Pair(v.first, l.view(v.second)))
-
-    def update(v, r):
-        out = s.lens.update(Pair(v.first, l.view(v.second)), r)
-        return Pair(out.first, l.update(v.second, out.second))
-
-    return _server(s.left, l.src, s.right, view, update)
+    return Server(s.left, l.src, s.right,
+                  (dep_identity(s.left) * l) >> s.lens)
 
 
 def seq_server(a: Server, b: Server) -> Server:
@@ -130,56 +133,35 @@ def seq_server(a: Server, b: Server) -> Server:
     The composite keeps both states, side by side."""
     if not agree(a.right, b.left):
         raise BoundaryMismatch(f"seq: {a.right!r} does not meet {b.left!r}")
-
-    def view(v):
-        x, st = v.first, v.second
-        return b.lens.view(Pair(a.lens.view(Pair(x, st.first)), st.second))
-
-    def update(v, arg):
-        x, st = v.first, v.second
-        mid = a.lens.view(Pair(x, st.first))
-        rb = b.lens.update(Pair(mid, st.second), arg)
-        ra = a.lens.update(Pair(x, st.first), rb.first)
-        return Pair(ra.first, Pair(ra.second, rb.second))
-
-    return _server(a.left, tensor(a.param, b.param), b.right, view, update)
+    param = tensor(a.param, b.param)
+    # (x, (sa, sb)) -> ((x, sa), sb), and positions back the other way
+    reassoc = DepLens(
+        tensor(a.left, param), tensor(tensor(a.left, a.param), b.param),
+        view=lambda v: Pair(Pair(v.first, v.second.first), v.second.second),
+        update=lambda v, p: Pair(p.first.first, Pair(p.first.second, p.second)),
+    )
+    return Server(a.left, param, b.right,
+                  reassoc >> (a.lens * dep_identity(b.param)) >> b.lens)
 
 
 def pre_compose(l: DepLens | PlainLens, s: Server) -> Server:
     """Adapt the request interface of ``s`` through ``l``; the
     response position flows back out through ``l.update``."""
-    if isinstance(l, PlainLens):
-        l = embed_plain(l)
+    l = _dep(l)
     if not agree(l.dst, s.left):
         raise BoundaryMismatch(f"pre_compose: {l.dst!r} does not meet {s.left!r}")
-
-    def view(v):
-        return s.lens.view(Pair(l.view(v.first), v.second))
-
-    def update(v, r):
-        out = s.lens.update(Pair(l.view(v.first), v.second), r)
-        return Pair(l.update(v.first, out.first), out.second)
-
-    return _server(l.src, s.param, s.right, view, update)
+    return Server(l.src, s.param, s.right,
+                  (l * dep_identity(s.param)) >> s.lens)
 
 
 def post_compose(s: Server, l: DepLens | PlainLens) -> Server:
     """Focus the response interface of ``s`` through ``l``: GETs see
     the focused part, POST bodies are widened back into a full response
     position before ``s`` handles them."""
-    if isinstance(l, PlainLens):
-        l = embed_plain(l)
+    l = _dep(l)
     if not agree(s.right, l.src):
         raise BoundaryMismatch(f"post_compose: {s.right!r} does not meet {l.src!r}")
-
-    def view(v):
-        return l.view(s.lens.view(v))
-
-    def update(v, r):
-        mid = s.lens.view(v)
-        return s.lens.update(v, l.update(mid, r))
-
-    return _server(s.left, s.param, l.dst, view, update)
+    return Server(s.left, s.param, l.dst, s.lens >> l)
 
 
 def parallel_server(a: Server, b: Server) -> Server:
@@ -199,8 +181,7 @@ def parallel_server(a: Server, b: Server) -> Server:
         view=reassoc,
         update=lambda v, p: reassoc(p),
     )
-    return Server(left, param, right,
-                  dep_compose(adapter, dep_parallel(a.lens, b.lens)))
+    return Server(left, param, right, adapter >> (a.lens * b.lens))
 
 
 def ext_choice(a: Server, b: Server) -> Server:

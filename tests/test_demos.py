@@ -1,4 +1,5 @@
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -267,3 +268,15 @@ def test_cli_serve_rejects_bad_snapshot(tmp_path):
 
 def test_cli_serve_rejects_bad_port():
     assert main(["serve", "--server", "todo", "--port", "0"]) == 1
+
+
+DEMO_SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMO_SCRIPTS, ids=lambda path: path.stem)
+def test_demo_script_runs(script):
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    done = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -4,7 +4,7 @@ import socket
 import pytest
 
 from conftest import free_port, running
-from lenserv.containers import const_of, pinned
+from lenserv.containers import const_of, pinned, tensor
 from lenserv.deplens import DepLens
 from lenserv.engine import (
     EngineConfig,
@@ -13,8 +13,10 @@ from lenserv.engine import (
     handle_post,
     prepare,
 )
+from lenserv.lens import Boundary, identity
 from lenserv.servers import (
     HandlerError,
+    Server,
     get_lens,
     post_lens,
     reparam_server,
@@ -155,6 +157,35 @@ def test_contract_breakage_is_500():
     p = prepare(corrupting, initial=Int(1))
     assert handle_post(p, "/2", "3").status == 500
     assert p.cell.snapshot() == Int(1)  # the bad diff never landed
+
+    # backward: a well-formed diff paired with a response that does not
+    # conform to the request's response position; the diff must not land
+    left, store = pinned(UnitS(), IntS()), const_of(IntS())
+    misanswering = Server(left, store, store, DepLens(
+        tensor(left, store), store,
+        view=lambda v: v.second,
+        update=lambda v, r: Pair(Text("not an int"), r),
+    ))
+    p = prepare(misanswering, initial=Int(0))
+    assert handle_post(p, "/", "5").status == 500
+    assert p.cell.snapshot() == Int(0)
+
+
+@pytest.mark.parametrize("depth", [1, 4, 16])
+def test_post_handler_calls_stay_within_one_per_lens_layer(depth):
+    calls = [0]
+
+    def read(st, u):
+        calls[0] += 1
+        return st
+
+    srv = get_lens(UnitS(), const_of(IntS()), IntS(), read)
+    for _ in range(depth):
+        srv = srv >> identity(Boundary(IntS(), UnitS()))
+    p = prepare(srv, initial=Int(7))
+    assert handle_post(p, "/", "null").status == 200
+    assert p.cell.snapshot() == Int(7)
+    assert calls[0] <= depth + 1
 
 
 def test_get_responses_drop_route_tags():

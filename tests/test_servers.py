@@ -198,6 +198,111 @@ def test_parallel_is_componentwise_on_servers():
         )
 
 
+# The hand-written bodies reparam_server, seq_server, pre_compose and
+# post_compose had before they were derived from dep_compose and
+# dep_parallel, kept as oracles for the derived versions.
+
+
+def _ref_reparam(s, l):
+    def view(v):
+        return s.lens.view(Pair(v.first, l.view(v.second)))
+
+    def update(v, r):
+        out = s.lens.update(Pair(v.first, l.view(v.second)), r)
+        return Pair(out.first, l.update(v.second, out.second))
+
+    return view, update
+
+
+def _ref_seq(a, b):
+    def view(v):
+        x, st = v.first, v.second
+        return b.lens.view(Pair(a.lens.view(Pair(x, st.first)), st.second))
+
+    def update(v, arg):
+        x, st = v.first, v.second
+        mid = a.lens.view(Pair(x, st.first))
+        rb = b.lens.update(Pair(mid, st.second), arg)
+        ra = a.lens.update(Pair(x, st.first), rb.first)
+        return Pair(ra.first, Pair(ra.second, rb.second))
+
+    return view, update
+
+
+def _ref_pre(l, s):
+    def view(v):
+        return s.lens.view(Pair(l.view(v.first), v.second))
+
+    def update(v, r):
+        out = s.lens.update(Pair(l.view(v.first), v.second), r)
+        return Pair(l.update(v.first, out.first), out.second)
+
+    return view, update
+
+
+def _ref_post(s, l):
+    def view(v):
+        return l.view(s.lens.view(v))
+
+    def update(v, r):
+        mid = s.lens.view(v)
+        return s.lens.update(v, l.update(mid, r))
+
+    return view, update
+
+
+def _oracle_cases():
+    ints = ProdS(IntS(), IntS())
+    home = ProdS(BoolS(), ProdS(BoolS(), BoolS()))
+    counter, flag = const_of(IntS()), const_of(BoolS())
+    whole = state_server(const_of(home))
+    negate = lens_server(_negate())
+    peek = get_lens(IntS(), counter, IntS(), lambda st, n: Int(st.i - n.i))
+    sign = get_lens(IntS(), flag, IntS(), lambda st, n: n if st.b else Int(-n.i))
+    bump = post_lens(IntS(), counter, UnitS(), lambda st, n, body: Int(st.i + n.i))
+    put = post_lens(IntS(), counter, IntS(), lambda st, n, body: Int(body.i * n.i))
+    drop_text = DepLens(
+        pinned(ProdS(TextS(), IntS()), UnitS()),
+        pinned(IntS(), UnitS()),
+        view=lambda v: v.second,
+        update=lambda v, p: p,
+    )
+    return {
+        "post_fst": (post_compose, _ref_post, whole, fst_lens(home)),
+        "post_snd": (post_compose, _ref_post, whole, snd_lens(home)),
+        "post_negate": (post_compose, _ref_post, negate, _negate()),
+        "pre_fst": (pre_compose, _ref_pre, fst_lens(ints), negate),
+        "pre_get": (pre_compose, _ref_pre, drop_text, peek),
+        "pre_post": (pre_compose, _ref_pre, drop_text, put),
+        "reparam_state": (reparam_server, _ref_reparam, state_server(counter),
+                          embed_plain(fst_lens(ProdS(IntS(), TextS())))),
+        "reparam_get": (reparam_server, _ref_reparam, peek,
+                        embed_plain(snd_lens(ProdS(TextS(), IntS())))),
+        "reparam_post": (reparam_server, _ref_reparam, put, embed_plain(fst_lens(ints))),
+        "seq_state_lens": (seq_server, _ref_seq, state_server(counter), negate),
+        "seq_get_get": (seq_server, _ref_seq, peek, sign),
+        "seq_post_state": (seq_server, _ref_seq, bump, state_server(flag)),
+    }
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_derived_combinator_matches_its_hand_written_body(case):
+    combinator, reference, *args = ORACLE_CASES[case]
+    derived = combinator(*args)
+    view, update = reference(*args)
+    rng = random.Random(case)
+    for _ in range(300):
+        v = Pair(generate_value(derived.left.shape, rng),
+                 generate_value(derived.param.shape, rng))
+        y = derived.lens.view(v)
+        assert y == view(v)
+        r = generate_value(derived.right.position(y), rng)
+        assert derived.lens.update(v, r) == update(v, r)
+
+
 # -------------------------------------------------------------------- choice
 
 
