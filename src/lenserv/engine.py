@@ -16,9 +16,11 @@ sequence happens inside one state transaction, so concurrent POSTs
 serialize, and a POST answered with anything but 200 has not changed
 state.
 
-Status mapping: 200 success, 400 bad body or handler-signalled domain
-error, 404 no route, 405 other methods, 413 oversized body, 500 broken
-typing contract (a library or handler bug, never a client mistake).
+Status mapping: 200 success, 400 bad body, bad framing (a malformed
+request line or ``Content-Length``; the connection is then closed) or
+handler-signalled domain error, 404 no route, 405 other methods, 413
+oversized body, 500 broken typing contract (a library or handler bug,
+never a client mistake).
 Every response body is JSON; errors look like ``{"error": "..."}``.
 """
 
@@ -189,27 +191,44 @@ def _make_handler(p: PreparedServer, log: logging.Logger):
         protocol_version = "HTTP/1.1"
         timeout = 30  # reap idle keep-alive connections
 
-        def _content_length(self) -> int:
-            try:
-                return int(self.headers.get("Content-Length") or 0)
-            except ValueError:
+        def _content_length(self) -> int | None:
+            """The body length, or None when the framing is unusable:
+            a value that is not a plain decimal number, or copies of
+            the header that disagree."""
+            values = set(self.headers.get_all("Content-Length", ()))
+            if not values:
                 return 0
+            if len(values) > 1:
+                return None
+            value = values.pop().strip()
+            if not (value.isascii() and value.isdigit()):
+                return None
+            return int(value)
 
         def _finish(self, resp: HttpResponse, started: float) -> None:
             data = resp.body.encode("utf-8")
             self.send_response(resp.status)
             self.send_header("Content-Type", resp.content_type)
             self.send_header("Content-Length", str(len(data)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             if self.command != "HEAD":
                 self.wfile.write(data)
-            log.info("%s %s -> %d (%.1f ms)", self.command, self.path,
-                     resp.status, (perf_counter() - started) * 1000)
+            log.info("%s %s -> %d (%.1f ms)", self.command,
+                     getattr(self, "path", ""), resp.status,
+                     (perf_counter() - started) * 1000)
 
         def _dispatch(self) -> None:
             started = perf_counter()
             path = self.path.split("?", 1)[0]
             length = self._content_length()
+            if length is None:
+                # Where this request ends is unknown, so nothing after
+                # it on the connection can be read as a request.
+                self.close_connection = True
+                self._finish(_error(400, "invalid Content-Length"), started)
+                return
             if length > max_body:
                 # Refuse without reading; a connection with an unread
                 # body on it cannot be reused.
@@ -237,6 +256,18 @@ def _make_handler(p: PreparedServer, log: logging.Logger):
             if name.startswith("do_"):
                 return self._dispatch
             raise AttributeError(name)
+
+        def send_error(self, code, message=None, explain=None):
+            # The stdlib's own framing errors (bad request line,
+            # oversized headers, unsupported version) arrive here.
+            # Answer them in JSON with a status line, like every other
+            # response, and hang up.  A request line that did not parse
+            # leaves the HTTP/0.9 default version, which would suppress
+            # the status line.
+            self.close_connection = True
+            self.request_version = self.protocol_version
+            reason = message or self.responses.get(code, ("error",))[0]
+            self._finish(_error(code, reason), perf_counter())
 
         def log_message(self, fmt, *args):
             log.debug(fmt, *args)

@@ -105,6 +105,40 @@ def derive_action(c: Container) -> ActionFamily:
     return ActionFamily(c, base.act)
 
 
+def _verified_slot(c: Container, state: Value, diff: Value) -> Value | None:
+    """A value of ``c.position(state)`` built from parts of ``state``
+    (which conforms to ``c.shape``), laid out like ``diff`` so that
+    ``conforms`` can walk the two in parallel; None where no part of
+    the state is a position.  The recursion follows the one in
+    ``derive_action``: a slot whose positions are its shape is the
+    state itself, a product diff addresses the component its tag picks,
+    a tensor diff both components, and a coproduct diff the component
+    the state's tag names."""
+    form = c.form
+    if form is None:
+        return None
+    tag = form[0]
+    if tag == "pinned":
+        return state if form[1] == c.shape else None
+    a, b = form[1], form[2]
+    if tag == "product":
+        if isinstance(diff, Inl):
+            return Inl(_verified_slot(a, state.first, diff.value))
+        if isinstance(diff, Inr):
+            return Inr(_verified_slot(b, state.second, diff.value))
+        return None
+    if tag == "tensor":
+        if not isinstance(diff, Pair):
+            return None
+        return Pair(_verified_slot(a, state.first, diff.first),
+                    _verified_slot(b, state.second, diff.second))
+    if tag == "coproduct":
+        if isinstance(state, Inl):
+            return _verified_slot(a, state.value, diff)
+        return _verified_slot(b, state.value, diff)
+    return None
+
+
 def initial_state(c: Container) -> Value:
     """The designated starting value of a state container's shape."""
     return default_value(c.shape)
@@ -133,14 +167,17 @@ class StateCell:
 
     def apply_diff(self, diff: Value) -> Value:
         """Move the state by one diff; conformance is checked on the
-        way in and on the way out."""
+        way in and on the way out.  Both checks skip the subtrees that
+        are the very objects of the verified current state, so a diff
+        that rebuilds a small part of a large state costs that part."""
         with self._lock:
-            pos = self.container.position(self._current)
-            if not conforms(pos, diff):
+            old = self._current
+            pos = self.container.position(old)
+            if not conforms(pos, diff, _verified_slot(self.container, old, diff)):
                 raise StateContractError(
                     f"diff {diff!r} does not conform to position schema {pos!r}")
-            new = self.action.act(self._current, diff)
-            if not conforms(self.container.shape, new):
+            new = self.action.act(old, diff)
+            if not conforms(self.container.shape, new, old):
                 raise StateContractError(
                     f"updated state {new!r} does not conform to {self.container.shape!r}")
             self._current = new

@@ -13,7 +13,9 @@ decidable by testing: two values are equal exactly when their trees are.
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import chain, compress, repeat
+from operator import is_not
 
 
 __all__ = [
@@ -116,49 +118,65 @@ class List(Value):
         return f"List({list(self.items)!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class Map(Value):
-    """Ordered association list with pairwise-distinct keys.
+    """Ordered map with pairwise-distinct keys.
 
-    Entry order is insertion order and is significant for encoding (the
-    codec is bit-exact), though not for key lookup.
+    Entry order is insertion order and is significant for equality and
+    for encoding (the codec is bit-exact), though not for key lookup.
+    The entries live in one insertion-ordered ``dict``, so a lookup is
+    a hash probe and ``map_insert`` a C-level copy plus one store.
     """
 
-    entries: tuple = ()
+    __slots__ = ("_index",)
 
-    def __post_init__(self):
-        entries = tuple(tuple(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
-        seen = set()
-        for k, _ in entries:
-            if k in seen:
-                raise ValueError(f"duplicate Map key {k!r}")
-            seen.add(k)
+    def __init__(self, entries=()):
+        entries = tuple(entries)
+        index = dict(entries)
+        if len(index) != len(entries):
+            seen = set()
+            for k, _ in entries:
+                if k in seen:
+                    raise ValueError(f"duplicate Map key {k!r}")
+                seen.add(k)
+        object.__setattr__(self, "_index", index)
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(self._index.items())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self._index, other._index
+        return len(a) == len(b) and list(a.items()) == list(b.items())
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __reduce__(self):
+        return (Map, (self.entries,))
 
     def __repr__(self):
-        return f"Map({[ (k, v) for k, v in self.entries ]!r})"
+        return f"Map({list(self._index.items())!r})"
 
 
 def map_lookup(m: Map, key: Value, default: Value | None = None) -> Value | None:
-    for k, v in m.entries:
-        if k == key:
-            return v
-    return default
+    return m._index.get(key, default)
 
 
 def map_insert(m: Map, key: Value, value: Value) -> Map:
     """Insert or replace ``key``; replacement keeps the entry's slot."""
-    out = []
-    found = False
-    for k, v in m.entries:
-        if k == key:
-            out.append((k, value))
-            found = True
-        else:
-            out.append((k, v))
-    if not found:
-        out.append((key, value))
-    return Map(tuple(out))
+    index = m._index.copy()
+    index[key] = value
+    out = object.__new__(Map)   # keys stay distinct; skip the constructor's check
+    object.__setattr__(out, "_index", index)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +293,35 @@ def is_scalar_schema(s: Schema) -> bool:
 # Conformance
 
 
-def conforms(s: Schema, v: Value) -> bool:
+# Pads the shorter side of a slot-by-slot scan; no value ever holds it.
+_ABSENT = object()
+
+
+def _moved(new, old):
+    """``(item, item in the same slot of old)`` for each slot of ``new``
+    that does not hold the very object ``old`` holds there.  The scan
+    runs in C, so slots shared with ``old`` cost no Python-level work."""
+    pad = repeat(_ABSENT)
+    return compress(zip(new, chain(old, pad)), map(is_not, new, chain(old, pad)))
+
+
+def conforms(s: Schema, v: Value, known: Value | None = None) -> bool:
     """Decide whether ``v`` belongs to the set described by ``s``.
+
+    ``known``, when given, must be a value already verified to conform
+    to ``s``.  Values are immutable, so any part of ``v`` that is the
+    very object found at the same place in ``known`` conforms too and
+    is not walked again; everything else is checked in full.  With
+    ``known`` the persistent new version of a verified value is checked
+    in time proportional to what changed.
 
     >>> conforms(ProdS(IntS(), TextS()), Pair(Int(1), Text("x")))
     True
     >>> conforms(NatS(), Int(3))
     False
     """
+    if known is not None and v is known:
+        return True
     if isinstance(s, UnitS):
         return isinstance(v, Unit)
     if isinstance(s, BoolS):
@@ -296,21 +335,36 @@ def conforms(s: Schema, v: Value) -> bool:
     if isinstance(s, LitS):
         return isinstance(v, Text) and v.s == s.lit
     if isinstance(s, ProdS):
-        return (isinstance(v, Pair)
-                and conforms(s.left, v.first)
-                and conforms(s.right, v.second))
+        if not isinstance(v, Pair):
+            return False
+        if not isinstance(known, Pair):
+            return conforms(s.left, v.first) and conforms(s.right, v.second)
+        return (conforms(s.left, v.first, known.first)
+                and conforms(s.right, v.second, known.second))
     if isinstance(s, SumS):
         if isinstance(v, Inl):
-            return conforms(s.left, v.value)
+            return conforms(s.left, v.value, known.value if isinstance(known, Inl) else None)
         if isinstance(v, Inr):
-            return conforms(s.right, v.value)
+            return conforms(s.right, v.value, known.value if isinstance(known, Inr) else None)
         return False
     if isinstance(s, ListS):
-        return isinstance(v, List) and all(conforms(s.elem, x) for x in v.items)
+        if not isinstance(v, List):
+            return False
+        if not isinstance(known, List):
+            return all(conforms(s.elem, x) for x in v.items)
+        return all(conforms(s.elem, x, kx) for x, kx in _moved(v.items, known.items))
     if isinstance(s, MapS):
         if not isinstance(v, Map):
             return False
-        return all(conforms(s.key, k) and conforms(s.val, x) for k, x in v.entries)
+        index = v._index
+        if not isinstance(known, Map):
+            return all(conforms(s.key, k) and conforms(s.val, x) for k, x in index.items())
+        # An entry conforms when its key and its value do, so keys and
+        # values are scanned apart and each checked where it moved.
+        old = known._index
+        return (all(conforms(s.key, k, kk) for k, kk in _moved(index, old))
+                and all(conforms(s.val, x, kx)
+                        for x, kx in _moved(index.values(), old.values())))
     raise TypeError(f"unknown schema {s!r}")
 
 
@@ -342,7 +396,7 @@ def _to_obj(v: Value):
     if isinstance(v, List):
         return [_to_obj(x) for x in v.items]
     if isinstance(v, Map):
-        return [[_to_obj(k), _to_obj(x)] for k, x in v.entries]
+        return [[_to_obj(k), _to_obj(x)] for k, x in v._index.items()]
     raise TypeError(f"unknown value {v!r}")
 
 
@@ -398,7 +452,7 @@ def _from_obj(s: Schema, o) -> Value:
                     raise DecodeError(f"map entry must be a two-element array, got {e!r}")
                 entries.append((_from_obj(s.key, e[0]), _from_obj(s.val, e[1])))
             try:
-                return Map(tuple(entries))
+                return Map(entries)
             except ValueError as exc:
                 raise DecodeError(str(exc)) from None
     else:

@@ -297,3 +297,54 @@ def test_http_body_within_limit_is_served():
     finally:
         httpd.shutdown()
         httpd.server_close()
+
+
+def _exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes and read until the server hangs up.  A short
+    timeout turns a worker stuck on the request into a test failure."""
+    with socket.create_connection(("127.0.0.1", port), timeout=3) as s:
+        s.sendall(request)
+        out = b""
+        while chunk := s.recv(4096):
+            out += chunk
+    return out
+
+
+def _json_error(response: bytes, status: int) -> dict:
+    head, _, body = response.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0].split()[1] == str(status), response
+    assert "content-type: application/json" in (line.lower() for line in lines)
+    assert "connection: close" in (line.lower() for line in lines)
+    return json.loads(body)
+
+
+@pytest.mark.parametrize("length_headers", [
+    b"Content-Length: -1\r\n",
+    b"Content-Length: abc\r\n",
+    b"Content-Length: 1_0\r\n",
+    b"Content-Length: 1\r\nContent-Length: 2\r\n",
+], ids=["negative", "non_integer", "underscored", "conflicting"])
+def test_http_bad_content_length_is_400_and_closes(length_headers):
+    # The bytes after the headers would parse as a second request; a
+    # server that guessed the body length would answer it too.
+    with running(_counter(), initial=Int(1)) as (p, client):
+        response = _exchange(
+            p.config.port,
+            b"POST /add/1 HTTP/1.1\r\nHost: test\r\n" + length_headers + b"\r\n"
+            b"GET /peek HTTP/1.1\r\nHost: test\r\n\r\n")
+        assert "error" in _json_error(response, 400)
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert p.cell.snapshot() == Int(1)
+
+
+@pytest.mark.parametrize("request_bytes,status", [
+    (b"GARBAGE\r\n\r\n", 400),
+    (b"GET /peek HTTP/2.0\r\n\r\n", 505),
+    (b"GET /peek HTTP/1.1\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n", 431),
+], ids=["bad_request_line", "bad_version", "oversized_header"])
+def test_http_stdlib_framing_errors_answer_json(request_bytes, status):
+    with running(_counter()) as (p, client):
+        response = _exchange(p.config.port, request_bytes)
+        assert b"<!DOCTYPE" not in response
+        assert "error" in _json_error(response, status)

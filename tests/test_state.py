@@ -35,6 +35,8 @@ from lenserv.values import (
     Unit,
     UnitS,
     generate_value,
+    map_insert,
+    map_lookup,
 )
 
 
@@ -208,3 +210,112 @@ def test_derived_actions_preserve_conformance_on_random_containers():
         diff = generate_value(c.position(st), rng)
         new = action.act(st, diff)
         assert conforms(c.shape, new)
+
+
+# ------------------------------------------------- commits that share state
+
+
+TODO = MapS(NatS(), ListS(TextS()))
+
+
+def _todo_map(users):
+    return Map(tuple((Nat(u), List((Text("a"), Text("b"), Text("c"))))
+                     for u in range(users)))
+
+
+def _bad_edits(state):
+    """New versions of a 5,000-entry todo Map that share every entry
+    but one with ``state``, and that one entry does not conform."""
+    middle = map_lookup(state, Nat(2500))
+    return {
+        "bad value": map_insert(state, Nat(2500), List((Int(7),))),
+        "bad item behind shared items": map_insert(
+            state, Nat(2500), List(middle.items + (Bool(True),))),
+        "bad key appended": map_insert(state, Int(-1), List(())),
+    }
+
+
+@pytest.mark.parametrize("edit", ["bad value", "bad item behind shared items",
+                                  "bad key appended"])
+def test_const_cell_rejects_one_bad_entry_in_a_shared_map(edit):
+    c = const_of(TODO)
+    state = _todo_map(5000)
+    cell = StateCell(c, derive_action(c), state)
+    with pytest.raises(StateContractError):
+        cell.apply_diff(_bad_edits(state)[edit])
+    assert cell.snapshot() is state
+
+
+@pytest.mark.parametrize("edit", ["bad value", "bad item behind shared items",
+                                  "bad key appended"])
+def test_combined_cell_rejects_one_bad_entry_in_a_shared_map(edit):
+    from lenserv.demos import build_combined
+    from lenserv.engine import prepare
+
+    fresh = prepare(build_combined()).cell.snapshot()
+    state = Pair(_todo_map(5000), fresh.second)
+    cell = prepare(build_combined(), initial=state).cell
+    with pytest.raises(StateContractError):
+        cell.apply_diff(Inl(_bad_edits(state.first)[edit]))
+    assert cell.snapshot() is state
+    good = map_insert(state.first, Nat(2500), List(()))
+    assert cell.apply_diff(Inl(good)) == Pair(good, state.second)
+
+
+def test_diff_check_rejects_a_bad_shared_diff_the_action_would_drop():
+    # The action ignores its diff, so only the check on the way in can
+    # see the bad entry.
+    from lenserv.state import ActionFamily
+
+    c = const_of(TODO)
+    state = _todo_map(5000)
+    cell = StateCell(c, ActionFamily(c, lambda v, p: v), state)
+    with pytest.raises(StateContractError):
+        cell.apply_diff(_bad_edits(state)["bad value"])
+
+
+def test_cell_rejects_an_action_that_appends_a_bad_entry_to_a_shared_map():
+    from lenserv.state import ActionFamily
+
+    c = const_of(TODO)
+    state = _todo_map(100)
+    bad = ActionFamily(c, lambda v, p: map_insert(p, Text("junk"), List(())))
+    cell = StateCell(c, bad, state)
+    with pytest.raises(StateContractError):
+        cell.apply_diff(map_insert(state, Nat(3), List(())))
+    assert cell.snapshot() is state
+
+
+def _conforms_calls_per_post(monkeypatch, demo, users):
+    import lenserv.engine
+    import lenserv.state
+    import lenserv.values
+    from lenserv.demos import DEMOS
+
+    server = DEMOS[demo]()
+    if demo == "todo":
+        initial, prefix = _todo_map(users), ""
+    else:
+        rest = lenserv.engine.prepare(server).cell.snapshot().second
+        initial, prefix = Pair(_todo_map(users), rest), "/todo"
+    p = lenserv.engine.prepare(server, initial=initial)
+    calls = [0]
+    real = lenserv.values.conforms
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        for module in (lenserv.values, lenserv.state, lenserv.engine):
+            patch.setattr(module, "conforms", counting)
+        resp = lenserv.engine.handle_post(p, f"{prefix}/add/{users - 1}", '"new"')
+    assert resp.status == 200
+    assert p.cell.snapshot() != initial
+    return calls[0]
+
+
+@pytest.mark.parametrize("demo", ["todo", "combined"])
+def test_todo_post_conformance_work_does_not_grow_with_users(monkeypatch, demo):
+    assert (_conforms_calls_per_post(monkeypatch, demo, 5000)
+            <= _conforms_calls_per_post(monkeypatch, demo, 100))

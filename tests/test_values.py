@@ -212,3 +212,149 @@ def test_map_lookup_and_insert():
     assert map_lookup(m, Nat(3), List(())) == List(())
     m = map_insert(m, Nat(3), List((Text("a"),)))
     assert map_lookup(m, Nat(3), List(())) == List((Text("a"),))
+
+
+def _random_schema(rng, depth=0):
+    if depth >= 3 or rng.random() < 0.35:
+        return rng.choice([UnitS(), BoolS(), IntS(), NatS(), TextS(), LitS("k")])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ProdS(_random_schema(rng, depth + 1), _random_schema(rng, depth + 1))
+    if kind == 1:
+        return SumS(_random_schema(rng, depth + 1), _random_schema(rng, depth + 1))
+    if kind == 2:
+        return ListS(_random_schema(rng, depth + 1))
+    return MapS(rng.choice([IntS(), NatS(), TextS()]), _random_schema(rng, depth + 1))
+
+
+def _stranger(rng):
+    """A value that may or may not conform to anything in particular."""
+    return generate_value(_random_schema(rng), rng)
+
+
+def _edit(s, v, rng):
+    """A new version of ``v`` that shares some of its subtrees with it
+    (the very objects) and replaces others, conforming or not."""
+    roll = rng.random()
+    if roll < 0.3:
+        return v
+    if roll < 0.4:
+        return generate_value(s, rng)
+    if roll < 0.5:
+        return _stranger(rng)
+    if isinstance(v, Pair):
+        return Pair(_edit(s.left, v.first, rng), _edit(s.right, v.second, rng))
+    if isinstance(v, Inl):
+        return Inl(_edit(s.left, v.value, rng))
+    if isinstance(v, Inr):
+        return Inr(_edit(s.right, v.value, rng))
+    if isinstance(v, List):
+        items = [_edit(s.elem, x, rng) for x in v.items]
+        if items and rng.random() < 0.3:
+            del items[rng.randrange(len(items))]   # later slots shift
+        if rng.random() < 0.3:
+            items.append(_stranger(rng) if rng.random() < 0.5
+                         else generate_value(s.elem, rng))
+        return List(tuple(items))
+    if isinstance(v, Map):
+        entries = [(k, _edit(s.val, x, rng)) for k, x in v.entries]
+        if rng.random() < 0.2:
+            rng.shuffle(entries)
+        if rng.random() < 0.3:
+            k = _stranger(rng) if rng.random() < 0.3 else generate_value(s.key, rng)
+            if all(k != old for old, _ in entries):
+                entries.append((k, generate_value(s.val, rng)))
+        return Map(tuple(entries))
+    return v
+
+
+def test_conforms_with_a_known_value_agrees_with_the_full_check():
+    rng = random.Random(20260)
+    outcomes = set()
+    for _ in range(3000):
+        s = _random_schema(rng)
+        known = generate_value(s, rng)
+        assert conforms(s, known)
+        v = _edit(s, known, rng)
+        full = conforms(s, v)
+        assert conforms(s, v, known) == full, (s, v, known)
+        outcomes.add(full)
+    assert outcomes == {True, False}
+
+
+def test_conforms_with_a_known_value_checks_every_fresh_part():
+    s = MapS(NatS(), ListS(TextS()))
+    known = Map(tuple((Nat(u), List((Text("a"),))) for u in range(50)))
+    bad_value = map_insert(known, Nat(25), List((Text("b"), Int(1))))
+    bad_item = map_insert(known, Nat(25), List((Int(1),) + map_lookup(known, Nat(25)).items))
+    bad_key = map_insert(known, Int(-1), List(()))
+    for v in (bad_value, bad_item, bad_key):
+        assert not conforms(s, v, known)
+    assert conforms(s, map_insert(known, Nat(25), List(())), known)
+    # a known value never vouches for something that is not a value
+    assert not conforms(IntS(), None, None)
+    assert not conforms(ListS(UnitS()), List((None,)), List(()))
+
+
+# ------------------------------------------------------------- map model
+
+
+def test_map_matches_an_association_list_model():
+    rng = random.Random(41)
+    for _ in range(200):
+        m, model = Map(()), []
+        for _ in range(rng.randint(0, 30)):
+            key = Nat(rng.randrange(12))
+            if rng.random() < 0.6:
+                value = Text(str(rng.randrange(100)))
+                m = map_insert(m, key, value)
+                slot = next((i for i, (k, _) in enumerate(model) if k == key), None)
+                if slot is None:
+                    model.append((key, value))
+                else:
+                    model[slot] = (key, value)   # replacement keeps the slot
+            expected = next((x for k, x in model if k == key), None)
+            assert map_lookup(m, key) == expected
+            assert m.entries == tuple(model)
+        assert m == Map(tuple(model))
+        text = encode_json(m)
+        assert text == "[%s]" % ",".join(
+            '[%d,"%s"]' % (k.n, x.s) for k, x in model)
+        assert decode_json(MapS(NatS(), TextS()), text) == m
+        if len(model) > 1:
+            assert m != Map(tuple(reversed(model)))   # order is significant
+            k, x = rng.choice(model)
+            with pytest.raises(ValueError):
+                Map(tuple(model) + ((k, x),))
+            with pytest.raises(DecodeError):
+                decode_json(MapS(NatS(), TextS()),
+                            text[:-1] + ',[%d,"%s"]]' % (k.n, x.s))
+
+
+def test_map_is_immutable_and_hashable():
+    m = Map(((Nat(1), Text("a")),))
+    with pytest.raises(AttributeError):
+        m.entries = ()
+    assert hash(m) == hash(Map([[Nat(1), Text("a")]]))
+    assert repr(m) == "Map([(Nat(1), Text('a'))])"
+
+
+def _lookup_comparisons(monkeypatch, size):
+    m = Map(tuple((Nat(u), Text(str(u))) for u in range(size)))
+    calls = [0]
+    real = Nat.__eq__
+
+    def counting(self, other):
+        calls[0] += 1
+        return real(self, other)
+
+    key = Nat(size - 1)   # the last slot: a linear scan's worst case
+    with monkeypatch.context() as patch:
+        patch.setattr(Nat, "__eq__", counting)
+        found = map_lookup(m, key)
+    assert found == Text(str(size - 1))
+    return calls[0]
+
+
+def test_map_lookup_does_not_scan_the_entries(monkeypatch):
+    assert _lookup_comparisons(monkeypatch, 5000) <= _lookup_comparisons(monkeypatch, 100)
