@@ -13,7 +13,7 @@ decidable by testing: two values are equal exactly when their trees are.
 
 import json
 import random
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import is_not
 
@@ -118,6 +118,7 @@ class List(Value):
         return f"List({list(self.items)!r})"
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Map(Value):
     """Ordered map with pairwise-distinct keys.
 
@@ -127,7 +128,7 @@ class Map(Value):
     a hash probe and ``map_insert`` a C-level copy plus one store.
     """
 
-    __slots__ = ("_index",)
+    _index: dict
 
     def __init__(self, entries=()):
         entries = tuple(entries)
@@ -144,12 +145,6 @@ class Map(Value):
     def entries(self) -> tuple:
         return tuple(self._index.items())
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -158,9 +153,6 @@ class Map(Value):
 
     def __hash__(self):
         return hash(self.entries)
-
-    def __reduce__(self):
-        return (Map, (self.entries,))
 
     def __repr__(self):
         return f"Map({list(self._index.items())!r})"
@@ -300,7 +292,11 @@ _ABSENT = object()
 def _moved(new, old):
     """``(item, item in the same slot of old)`` for each slot of ``new``
     that does not hold the very object ``old`` holds there.  The scan
-    runs in C, so slots shared with ``old`` cost no Python-level work."""
+    runs in C, so slots shared with ``old`` cost no Python-level work.
+    With nothing to compare against, every slot has moved and is paired
+    with ``None``, which vouches for nothing."""
+    if not old:
+        return zip(new, repeat(None))
     pad = repeat(_ABSENT)
     return compress(zip(new, chain(old, pad)), map(is_not, new, chain(old, pad)))
 
@@ -337,10 +333,8 @@ def conforms(s: Schema, v: Value, known: Value | None = None) -> bool:
     if isinstance(s, ProdS):
         if not isinstance(v, Pair):
             return False
-        if not isinstance(known, Pair):
-            return conforms(s.left, v.first) and conforms(s.right, v.second)
-        return (conforms(s.left, v.first, known.first)
-                and conforms(s.right, v.second, known.second))
+        kf, ks = (known.first, known.second) if isinstance(known, Pair) else (None, None)
+        return conforms(s.left, v.first, kf) and conforms(s.right, v.second, ks)
     if isinstance(s, SumS):
         if isinstance(v, Inl):
             return conforms(s.left, v.value, known.value if isinstance(known, Inl) else None)
@@ -350,21 +344,18 @@ def conforms(s: Schema, v: Value, known: Value | None = None) -> bool:
     if isinstance(s, ListS):
         if not isinstance(v, List):
             return False
-        if not isinstance(known, List):
-            return all(conforms(s.elem, x) for x in v.items)
-        return all(conforms(s.elem, x, kx) for x, kx in _moved(v.items, known.items))
+        old = known.items if isinstance(known, List) else ()
+        return all(conforms(s.elem, x, kx) for x, kx in _moved(v.items, old))
     if isinstance(s, MapS):
         if not isinstance(v, Map):
             return False
-        index = v._index
-        if not isinstance(known, Map):
-            return all(conforms(s.key, k) and conforms(s.val, x) for k, x in index.items())
         # An entry conforms when its key and its value do, so keys and
         # values are scanned apart and each checked where it moved.
-        old = known._index
-        return (all(conforms(s.key, k, kk) for k, kk in _moved(index, old))
+        new = v._index
+        old = known._index if isinstance(known, Map) else {}
+        return (all(conforms(s.key, k, kk) for k, kk in _moved(new, old))
                 and all(conforms(s.val, x, kx)
-                        for x, kx in _moved(index.values(), old.values())))
+                        for x, kx in _moved(new.values(), old.values())))
     raise TypeError(f"unknown schema {s!r}")
 
 
