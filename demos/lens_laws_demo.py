@@ -11,8 +11,8 @@ nothing).  ``check_laws`` samples them.
 import random
 
 from lenserv import (
-    Bool, BoolS, Boundary, IntS, List, ListS, PlainLens, ProdS, TextS,
-    check_laws, compose, fst_lens, snd_lens,
+    Bool, BoolS, DepLens, IntS, List, ListS, ProdS, TextS, check_laws,
+    compose, const_of, fst_lens, snd_lens,
 )
 
 # a nested record: (name, (address, birthdate)) with address = (city, zip)
@@ -28,9 +28,9 @@ for name, lens in [("address_of", address_of), ("zip_of", zip_of)]:
 
 # Now a fraud: "update" that appends to a list.  It type-checks as a
 # lens, but appending twice isn't appending once, so put-put must fail.
-append = PlainLens(
-    Boundary(ListS(BoolS()), ListS(BoolS())),
-    Boundary(BoolS(), BoolS()),
+append = DepLens(
+    const_of(ListS(BoolS())),
+    const_of(BoolS()),
     view=lambda xs: xs.items[-1] if xs.items else Bool(False),
     update=lambda xs, v: List(xs.items + (v,)),
 )

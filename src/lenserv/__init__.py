@@ -26,14 +26,14 @@ from .values import (
     default_value, generate_value, enumerate_values, map_lookup, map_insert,
 )
 from .lens import (
-    Boundary, PlainLens, BoundaryMismatch, compose, parallel, identity,
-    fst_lens, snd_lens, LawReport, check_laws,
+    Boundary, compose, parallel, identity, fst_lens, snd_lens, LawReport,
+    check_laws,
 )
 from .containers import (
     Container, const_of, unit_positions, pinned, product, coproduct,
     tensor, agree,
 )
-from .deplens import DepLens, dep_identity, dep_compose, dep_parallel, embed_plain
+from .deplens import DepLens, BoundaryMismatch, dep_identity, dep_compose, dep_parallel
 from .servers import (
     Server, HandlerError, lens_server, reparam_server, seq_server,
     pre_compose, post_compose, parallel_server, ext_choice, clone_choice,

@@ -10,12 +10,13 @@ whole server algebra:
 * ``product``    - both shapes; a position from one side or the other
 * ``coproduct``  - one shape or the other; positions follow the tag
 * ``tensor``     - both shapes; both positions
-* ``const_of``   - positions ignore the shape value entirely
+* ``pinned``     - positions ignore the shape value entirely
 
 Containers built from these combinators carry a structural description
 (``form``), which later layers use to compare containers, derive state
 update actions, and pick default values.  Hand-rolled containers have
-``form=None`` and are compared extensionally on sampled shape values.
+``form=None``; they, and containers built by different combinators, are
+compared extensionally on sampled shape values.
 """
 
 import random
@@ -48,22 +49,21 @@ class Container:
         return f"{tag}({self.form[1]!r}, {self.form[2]!r})"
 
 
+def pinned(shape: Schema, pos: Schema) -> Container:
+    """Shape ``shape`` whose position schema is ``pos`` at every value."""
+    return Container(shape, lambda v: pos, form=("pinned", pos))
+
+
 def const_of(s: Schema) -> Container:
     """Shape ``s`` with position ``s`` everywhere: reads and writes are
     the same kind of thing.  This is what plain state looks like."""
-    return Container(s, lambda v: s, form=("pinned", s))
+    return pinned(s, s)
 
 
 def unit_positions(s: Schema) -> Container:
     """Shape ``s`` with the trivial position everywhere: nothing flows
     backward at any point."""
-    u = UnitS()
-    return Container(s, lambda v: u, form=("pinned", u))
-
-
-def pinned(shape: Schema, pos: Schema) -> Container:
-    """Shape ``shape`` whose position schema is ``pos`` at every value."""
-    return Container(shape, lambda v: pos, form=("pinned", pos))
+    return pinned(s, UnitS())
 
 
 def product(a: Container, b: Container) -> Container:
@@ -93,28 +93,26 @@ def tensor(a: Container, b: Container) -> Container:
     return Container(ProdS(a.shape, b.shape), pos, form=("tensor", a, b))
 
 
-def agree(a: Container, b: Container, samples: int = 24) -> bool:
+AGREE_SAMPLES = 24
+
+
+def agree(a: Container, b: Container) -> bool:
     """Decide (well, approximate) container equality for composition
     preconditions: shapes structurally, position families structurally
-    when both carry a form, extensionally on sampled shape values
-    otherwise."""
+    when both carry a form with the same tag, extensionally on sampled
+    shape values otherwise (``tensor(const_of(A), const_of(B))`` is
+    ``const_of(ProdS(A, B))``)."""
     if a is b:
         return True
     if a.shape != b.shape:
         return False
-    if a.form is not None and b.form is not None:
-        return _forms_equal(a.form, b.form)
+    if a.form is not None and b.form is not None and a.form[0] == b.form[0]:
+        if a.form[0] == "pinned":
+            return a.form[1] == b.form[1]
+        return agree(a.form[1], b.form[1]) and agree(a.form[2], b.form[2])
     rng = random.Random(7)
-    for _ in range(samples):
+    for _ in range(AGREE_SAMPLES):
         v = generate_value(a.shape, rng)
         if a.position(v) != b.position(v):
             return False
     return True
-
-
-def _forms_equal(fa: tuple, fb: tuple) -> bool:
-    if fa[0] != fb[0]:
-        return False
-    if fa[0] == "pinned":
-        return fa[1] == fb[1]
-    return agree(fa[1], fb[1]) and agree(fa[2], fb[2])

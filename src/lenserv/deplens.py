@@ -1,20 +1,26 @@
-"""Dependent lenses: morphisms between containers.
+"""Lenses: morphisms between containers.
 
-The backward direction here is position-indexed: ``update`` receives a
+The backward direction is position-indexed: ``update`` receives a
 source shape value and a position taken *at the forward image of that
-value*, and must return a position at the value itself.  Plain lenses
-embed as the special case where positions ignore the shape value.
+value*, and must return a position at the value itself.  A plain lens
+is the special case between ``pinned`` containers, whose positions
+ignore the shape value; it is not a separate type.  Lenses compose
+sequentially (``>>``, updates thread back through every stage) and in
+parallel (``*``, componentwise on pairs).
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
-from .containers import Container, agree, pinned, tensor
-from .lens import BoundaryMismatch, PlainLens
+from .containers import Container, agree, tensor
 from .values import Pair, Value
 
 
-__all__ = ["DepLens", "dep_identity", "dep_compose", "dep_parallel", "embed_plain"]
+__all__ = ["DepLens", "BoundaryMismatch", "dep_identity", "dep_compose", "dep_parallel"]
+
+
+class BoundaryMismatch(Exception):
+    """Composition was attempted between lenses whose boundaries differ."""
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,16 @@ def dep_identity(c: Container) -> DepLens:
 
 
 def dep_compose(a: DepLens, b: DepLens) -> DepLens:
+    """Run ``a`` then ``b``; updates thread back right to left.
+
+    >>> from lenserv.lens import fst_lens
+    >>> from lenserv.values import Bool, BoolS, Int, IntS, ProdS, Text, TextS
+    >>> inner = fst_lens(ProdS(IntS(), BoolS()))
+    >>> outer = fst_lens(ProdS(ProdS(IntS(), BoolS()), TextS()))
+    >>> both = outer >> inner
+    >>> both.view(Pair(Pair(Int(3), Bool(True)), Text("q")))
+    Int(3)
+    """
     if not agree(a.dst, b.src):
         raise BoundaryMismatch(f"cannot compose: {a.dst!r} does not meet {b.src!r}")
     return DepLens(
@@ -54,14 +70,4 @@ def dep_parallel(a: DepLens, b: DepLens) -> DepLens:
         tensor(a.src, b.src), tensor(a.dst, b.dst),
         view=lambda v: Pair(a.view(v.first), b.view(v.second)),
         update=lambda v, p: Pair(a.update(v.first, p.first), b.update(v.second, p.second)),
-    )
-
-
-def embed_plain(l: PlainLens) -> DepLens:
-    """A plain lens is a dependent lens whose positions are constant."""
-    return DepLens(
-        pinned(l.src.fwd, l.src.bwd),
-        pinned(l.dst.fwd, l.dst.bwd),
-        view=l.view,
-        update=l.update,
     )

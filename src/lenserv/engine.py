@@ -20,7 +20,8 @@ Status mapping: 200 success, 400 bad body, bad framing (a malformed
 request line or ``Content-Length``; the connection is then closed) or
 handler-signalled domain error, 404 no route, 405 other methods, 413
 oversized body, 500 broken typing contract (a library or handler bug,
-never a client mistake).
+never a client mistake), 501 a body sent with ``Transfer-Encoding``
+(unread; the connection is then closed).
 Every response body is JSON; errors look like ``{"error": "..."}``.
 """
 
@@ -49,6 +50,8 @@ __all__ = [
     "prepare", "handle_get", "handle_post", "serve", "serve_background",
 ]
 
+_log = logging.getLogger("lenserv.engine")
+
 
 class PrepareError(Exception):
     """The server value cannot be driven by the engine as configured."""
@@ -58,7 +61,6 @@ class PrepareError(Exception):
 class EngineConfig:
     port: int = 8080
     max_body_bytes: int = 1 << 20
-    logger: logging.Logger | None = None
 
     def __post_init__(self):
         if not 1 <= self.port <= 65535:
@@ -184,7 +186,7 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
 # Socket layer
 
 
-def _make_handler(p: PreparedServer, log: logging.Logger):
+def _make_handler(p: PreparedServer):
     max_body = p.config.max_body_bytes
 
     class Handler(BaseHTTPRequestHandler):
@@ -215,13 +217,19 @@ def _make_handler(p: PreparedServer, log: logging.Logger):
             self.end_headers()
             if self.command != "HEAD":
                 self.wfile.write(data)
-            log.info("%s %s -> %d (%.1f ms)", self.command,
-                     getattr(self, "path", ""), resp.status,
-                     (perf_counter() - started) * 1000)
+            _log.info("%s %s -> %d (%.1f ms)", self.command,
+                      getattr(self, "path", ""), resp.status,
+                      (perf_counter() - started) * 1000)
 
         def _dispatch(self) -> None:
             started = perf_counter()
             path = self.path.split("?", 1)[0]
+            if "Transfer-Encoding" in self.headers:
+                # Chunked bodies are not decoded, so where this request
+                # ends is unknown: refuse it unread and hang up.
+                self.close_connection = True
+                self._finish(_error(501, "Transfer-Encoding is not supported"), started)
+                return
             length = self._content_length()
             if length is None:
                 # Where this request ends is unknown, so nothing after
@@ -270,14 +278,13 @@ def _make_handler(p: PreparedServer, log: logging.Logger):
             self._finish(_error(code, reason), perf_counter())
 
         def log_message(self, fmt, *args):
-            log.debug(fmt, *args)
+            _log.debug(fmt, *args)
 
     return Handler
 
 
 def _build(p: PreparedServer) -> ThreadingHTTPServer:
-    log = p.config.logger or logging.getLogger("lenserv.engine")
-    httpd = ThreadingHTTPServer(("127.0.0.1", p.config.port), _make_handler(p, log))
+    httpd = ThreadingHTTPServer(("127.0.0.1", p.config.port), _make_handler(p))
     # Connection threads must not block shutdown: an idle keep-alive
     # connection would otherwise pin server_close until its peer went
     # away.  State integrity does not depend on joining them; every
@@ -290,16 +297,15 @@ def _build(p: PreparedServer) -> ThreadingHTTPServer:
 def serve(p: PreparedServer) -> None:
     """Serve until interrupted.  A diff is applied under the state lock
     or not at all, so shutdown never leaves state half-written."""
-    log = p.config.logger or logging.getLogger("lenserv.engine")
     httpd = _build(p)
-    log.info("listening on 127.0.0.1:%d", httpd.server_port)
+    _log.info("listening on 127.0.0.1:%d", httpd.server_port)
     try:
         httpd.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         httpd.server_close()
-        log.info("shut down")
+        _log.info("shut down")
 
 
 def serve_background(p: PreparedServer) -> ThreadingHTTPServer:

@@ -1,116 +1,50 @@
-"""Plain bidirectional lenses between schema boundaries.
+"""Plain lenses: dependent lenses between pinned containers.
 
-A boundary is a pair of schemas (forward-facing and backward-facing); a
-lens between boundaries is a view/update pair:
-
-    view   : src.fwd -> dst.fwd
-    update : src.fwd -> dst.bwd -> src.bwd
-
-Lenses compose sequentially (``>>``, view goes forward, update threads
-back through every stage) and in parallel (``*``, componentwise on
-pairs).  For monomorphic lenses the classic well-behavedness laws are
-testable; ``check_laws`` samples them and reports counterexamples.
+A boundary is a forward-facing and a backward-facing schema, the
+container ``pinned(fwd, bwd)``, so a plain lens is a ``DepLens`` whose
+positions ignore the shape value.  ``Boundary``, ``identity``,
+``compose`` and ``parallel`` are the container and lens operations
+under their plain-lens names.  For monomorphic lenses the classic
+well-behavedness laws are testable; ``check_laws`` samples them and
+reports counterexamples.
 """
 
 import random
 from dataclasses import dataclass
 from typing import Callable
 
+from .containers import const_of, pinned
+from .deplens import DepLens, dep_compose, dep_identity, dep_parallel
 from .values import (
-    Bool, BoolS, Int, IntS, Pair, ProdS, Schema, Text, TextS, Value,
-    conforms, enumerate_values, generate_value,
+    Pair, ProdS, Schema, Value, conforms, enumerate_values, generate_value,
 )
 
 
 __all__ = [
-    "Boundary", "PlainLens", "BoundaryMismatch",
-    "compose", "parallel", "identity", "fst_lens", "snd_lens",
+    "Boundary", "compose", "parallel", "identity", "fst_lens", "snd_lens",
     "LawReport", "check_laws",
 ]
 
 
-class BoundaryMismatch(Exception):
-    """Composition was attempted between lenses whose boundaries differ."""
+Boundary = pinned
+identity = dep_identity
+compose = dep_compose
+parallel = dep_parallel
 
 
-@dataclass(frozen=True)
-class Boundary:
-    """A forward-facing and a backward-facing schema."""
-
-    fwd: Schema
-    bwd: Schema
-
-    def __repr__(self):
-        return f"Boundary({self.fwd!r}, {self.bwd!r})"
-
-
-@dataclass(frozen=True)
-class PlainLens:
-    src: Boundary
-    dst: Boundary
-    view: Callable[[Value], Value]
-    update: Callable[[Value, Value], Value]
-
-    def __rshift__(self, other):
-        if isinstance(other, PlainLens):
-            return compose(self, other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, PlainLens):
-            return parallel(self, other)
-        return NotImplemented
-
-
-def identity(b: Boundary) -> PlainLens:
-    return PlainLens(b, b, lambda x: x, lambda x, v: v)
-
-
-def compose(a: PlainLens, b: PlainLens) -> PlainLens:
-    """Run ``a`` then ``b``; updates thread back right to left.
-
-    >>> inner = fst_lens(ProdS(IntS(), BoolS()))
-    >>> outer = fst_lens(ProdS(ProdS(IntS(), BoolS()), TextS()))
-    >>> both = outer >> inner
-    >>> both.view(Pair(Pair(Int(3), Bool(True)), Text("q")))
-    Int(3)
-    """
-    if a.dst != b.src:
-        raise BoundaryMismatch(f"cannot compose: {a.dst!r} does not meet {b.src!r}")
-    return PlainLens(
-        a.src, b.dst,
-        view=lambda x: b.view(a.view(x)),
-        update=lambda x, v: a.update(x, b.update(a.view(x), v)),
-    )
-
-
-def parallel(a: PlainLens, b: PlainLens) -> PlainLens:
-    src = Boundary(ProdS(a.src.fwd, b.src.fwd), ProdS(a.src.bwd, b.src.bwd))
-    dst = Boundary(ProdS(a.dst.fwd, b.dst.fwd), ProdS(a.dst.bwd, b.dst.bwd))
-    return PlainLens(
-        src, dst,
-        view=lambda x: Pair(a.view(x.first), b.view(x.second)),
-        update=lambda x, v: Pair(a.update(x.first, v.first), b.update(x.second, v.second)),
-    )
-
-
-def fst_lens(pair_schema: ProdS) -> PlainLens:
+def fst_lens(pair_schema: ProdS) -> DepLens:
     """Focus the first component of a pair schema."""
-    part = pair_schema.left
-    return PlainLens(
-        Boundary(pair_schema, pair_schema),
-        Boundary(part, part),
+    return DepLens(
+        const_of(pair_schema), const_of(pair_schema.left),
         view=lambda x: x.first,
         update=lambda x, v: Pair(v, x.second),
     )
 
 
-def snd_lens(pair_schema: ProdS) -> PlainLens:
+def snd_lens(pair_schema: ProdS) -> DepLens:
     """Focus the second component of a pair schema."""
-    part = pair_schema.right
-    return PlainLens(
-        Boundary(pair_schema, pair_schema),
-        Boundary(part, part),
+    return DepLens(
+        const_of(pair_schema), const_of(pair_schema.right),
         view=lambda x: x.second,
         update=lambda x, v: Pair(x.first, v),
     )
@@ -142,12 +76,8 @@ class LawReport:
         return f"violated: {', '.join(bad)} (on {self.samples} samples)"
 
 
-def _monomorphic(l: PlainLens) -> bool:
-    return l.src.fwd == l.src.bwd and l.dst.fwd == l.dst.bwd
-
-
 def check_laws(
-    l: PlainLens,
+    l: DepLens,
     n: int = 1000,
     gen: Callable[[Schema, random.Random], Value] = generate_value,
     rng: random.Random | None = None,
@@ -155,29 +85,32 @@ def check_laws(
 ) -> LawReport:
     """Test the three well-behavedness laws on sampled inputs.
 
-    Only monomorphic lenses (forward and backward schemas agree within
-    each boundary) have testable laws; anything else raises ValueError.
-    With ``exhaustive=True`` and finite schemas, every (state, value)
-    pair is tried instead of sampling.
+    Only monomorphic lenses (the position schema is the shape at every
+    point) have testable laws; a lens that is not monomorphic at some
+    sampled point raises ValueError before any law runs.  With
+    ``exhaustive=True`` and finite schemas, every (state, value) pair
+    is tried instead of sampling.
     """
-    if not _monomorphic(l):
-        raise ValueError(
-            f"laws are only defined for monomorphic lenses; got src={l.src!r} dst={l.dst!r}")
-
+    src, dst = l.src.shape, l.dst.shape
     if exhaustive:
-        xs = enumerate_values(l.src.fwd)
-        vs = enumerate_values(l.dst.fwd)
+        xs = enumerate_values(src)
+        vs = enumerate_values(dst)
         if xs is None or vs is None:
             raise ValueError("exhaustive law check requires finite schemas")
         cases = [(x, v) for x in xs for v in vs]
     else:
         rng = rng or random.Random(0)
-        cases = [(gen(l.src.fwd, rng), gen(l.dst.fwd, rng)) for _ in range(n)]
+        cases = [(gen(src, rng), gen(dst, rng)) for _ in range(n)]
+
+    for x, v in cases:
+        if not conforms(src, x) or not conforms(dst, v):
+            raise ValueError("generator produced a non-conforming sample")
+        if l.src.position(x) != src or l.dst.position(v) != dst:
+            raise ValueError(
+                f"laws are only defined for monomorphic lenses; got src={l.src!r} dst={l.dst!r}")
 
     put_get = put_put = get_put = None
     for x, v in cases:
-        if not conforms(l.src.fwd, x) or not conforms(l.dst.fwd, v):
-            raise ValueError("generator produced a non-conforming sample")
         put = l.update(x, v)
         if put_get is None and l.view(put) != v:
             put_get = (x, v)

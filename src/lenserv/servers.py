@@ -20,6 +20,9 @@ handlers, and state in one move, and each has an operator spelling:
     s >> l         focus responses through a lens
     l << s         adapt requests through a lens
 
+Any lens fits ``s >> l`` and ``l << s``: a plain lens such as
+``fst_lens`` is a ``DepLens`` between pinned containers.
+
 A server is a dependent lens, so composing servers is composing lenses.
 Only ``get_lens``, ``post_lens``, ``state_server``, ``lens_server``,
 ``ext_choice`` and ``capture_prefix`` write their own backward pass;
@@ -38,8 +41,7 @@ from .containers import (
     Container, agree, const_of, coproduct, pinned, product, tensor,
     unit_positions,
 )
-from .deplens import DepLens, dep_identity, embed_plain
-from .lens import BoundaryMismatch, PlainLens
+from .deplens import BoundaryMismatch, DepLens, dep_identity
 from .values import (
     BoolS, Inl, Inr, IntS, NatS, Pair, ProdS, Schema, TextS, LitS, Unit,
     UnitS,
@@ -88,12 +90,12 @@ class Server:
     def __rshift__(self, other):
         if isinstance(other, Server):
             return seq_server(self, other)
-        if isinstance(other, (DepLens, PlainLens)):
+        if isinstance(other, DepLens):
             return post_compose(self, other)
         return NotImplemented
 
     def __rlshift__(self, other):
-        if isinstance(other, (DepLens, PlainLens)):
+        if isinstance(other, DepLens):
             return pre_compose(other, self)
         return NotImplemented
 
@@ -103,13 +105,8 @@ def _server(left, param, right, view, update) -> Server:
                   DepLens(tensor(left, param), right, view, update))
 
 
-def _dep(l: PlainLens | DepLens) -> DepLens:
-    return embed_plain(l) if isinstance(l, PlainLens) else l
-
-
-def lens_server(l: PlainLens | DepLens) -> Server:
+def lens_server(l: DepLens) -> Server:
     """Embed a lens as a server with trivial (unit) state."""
-    l = _dep(l)
 
     def update(v, r):
         return Pair(l.update(v.first, r), v.second)
@@ -144,21 +141,19 @@ def seq_server(a: Server, b: Server) -> Server:
                   reassoc >> (a.lens * dep_identity(b.param)) >> b.lens)
 
 
-def pre_compose(l: DepLens | PlainLens, s: Server) -> Server:
+def pre_compose(l: DepLens, s: Server) -> Server:
     """Adapt the request interface of ``s`` through ``l``; the
     response position flows back out through ``l.update``."""
-    l = _dep(l)
     if not agree(l.dst, s.left):
         raise BoundaryMismatch(f"pre_compose: {l.dst!r} does not meet {s.left!r}")
     return Server(l.src, s.param, s.right,
                   (l * dep_identity(s.param)) >> s.lens)
 
 
-def post_compose(s: Server, l: DepLens | PlainLens) -> Server:
+def post_compose(s: Server, l: DepLens) -> Server:
     """Focus the response interface of ``s`` through ``l``: GETs see
     the focused part, POST bodies are widened back into a full response
     position before ``s`` handles them."""
-    l = _dep(l)
     if not agree(s.right, l.src):
         raise BoundaryMismatch(f"post_compose: {s.right!r} does not meet {l.src!r}")
     return Server(s.left, s.param, l.dst, s.lens >> l)

@@ -4,8 +4,8 @@ import pytest
 
 from lenserv.checks import ADDRESS, USER, address_lens, street_number_lens
 from lenserv.containers import coproduct, const_of, tensor
-from lenserv.deplens import DepLens, dep_compose, dep_identity, dep_parallel, embed_plain
-from lenserv.lens import BoundaryMismatch, compose, fst_lens
+from lenserv.deplens import BoundaryMismatch, DepLens, dep_compose, dep_identity, dep_parallel
+from lenserv.lens import fst_lens
 from lenserv.values import (
     Bool,
     BoolS,
@@ -20,27 +20,6 @@ from lenserv.values import (
 )
 
 
-def test_embedding_preserves_behaviour():
-    e = embed_plain(address_lens)
-    rng = random.Random(15)
-    for _ in range(200):
-        user = generate_value(USER, rng)
-        addr = generate_value(ADDRESS, rng)
-        assert e.view(user) == address_lens.view(user)
-        assert e.update(user, addr) == address_lens.update(user, addr)
-
-
-def test_dep_compose_agrees_with_plain_compose():
-    composite = dep_compose(embed_plain(address_lens), embed_plain(street_number_lens))
-    plain = compose(address_lens, street_number_lens)
-    rng = random.Random(16)
-    for _ in range(1000):
-        user = generate_value(USER, rng)
-        n = generate_value(IntS(), rng)
-        assert composite.view(user) == plain.view(user)
-        assert composite.update(user, n) == plain.update(user, n)
-
-
 def test_dep_compose_rejects_disagreeing_containers():
     a = dep_identity(const_of(IntS()))
     b = dep_identity(const_of(BoolS()))
@@ -49,9 +28,9 @@ def test_dep_compose_rejects_disagreeing_containers():
 
 
 def test_dep_compose_is_associative():
-    outer = embed_plain(fst_lens(ProdS(USER, BoolS())))
-    mid = embed_plain(address_lens)
-    inner = embed_plain(street_number_lens)
+    outer = fst_lens(ProdS(USER, BoolS()))
+    mid = address_lens
+    inner = street_number_lens
     one = dep_compose(dep_compose(outer, mid), inner)
     two = dep_compose(outer, dep_compose(mid, inner))
     rng = random.Random(18)
@@ -63,7 +42,7 @@ def test_dep_compose_is_associative():
 
 
 def test_dep_parallel_is_componentwise():
-    a = embed_plain(address_lens)
+    a = address_lens
     b = dep_identity(const_of(IntS()))
     both = a * b
     assert both.src.shape == ProdS(USER, IntS())

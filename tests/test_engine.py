@@ -13,7 +13,7 @@ from lenserv.engine import (
     handle_post,
     prepare,
 )
-from lenserv.lens import Boundary, identity
+from lenserv.lens import Boundary, fst_lens, identity, snd_lens
 from lenserv.servers import (
     HandlerError,
     Server,
@@ -24,6 +24,7 @@ from lenserv.servers import (
 )
 from lenserv.values import (
     Bool,
+    BoolS,
     Int,
     IntS,
     List,
@@ -31,6 +32,7 @@ from lenserv.values import (
     Map,
     NatS,
     Pair,
+    ProdS,
     Text,
     TextS,
     UnitS,
@@ -186,6 +188,22 @@ def test_post_handler_calls_stay_within_one_per_lens_layer(depth):
     assert handle_post(p, "/", "null").status == 200
     assert p.cell.snapshot() == Int(7)
     assert calls[0] <= depth + 1
+
+
+def test_state_focused_through_a_parallel_lens_serves():
+    # The lens's source is a tensor of pinned containers, the state a
+    # pinned product: the same container, built two ways.
+    a, b = ProdS(IntS(), BoolS()), ProdS(TextS(), IntS())
+    srv = "pair" / (state_server(const_of(ProdS(a, b))) >> (fst_lens(a) * snd_lens(b)))
+    start = Pair(Pair(Int(1), Bool(True)), Pair(Text("keep"), Int(2)))
+    p = prepare(srv, initial=start)
+    got = handle_get(p, "/pair")
+    assert (got.status, got.body) == (200, "[1,2]")
+    assert handle_post(p, "/pair", "[5,6]").status == 200
+    assert p.cell.snapshot() == Pair(Pair(Int(5), Bool(True)), Pair(Text("keep"), Int(6)))
+    assert handle_get(p, "/pair").body == "[5,6]"
+    assert handle_post(p, "/pair", '[5,"x"]').status == 400
+    assert p.cell.snapshot() == Pair(Pair(Int(5), Bool(True)), Pair(Text("keep"), Int(6)))
 
 
 def test_get_responses_drop_route_tags():
@@ -348,3 +366,17 @@ def test_http_stdlib_framing_errors_answer_json(request_bytes, status):
         response = _exchange(p.config.port, request_bytes)
         assert b"<!DOCTYPE" not in response
         assert "error" in _json_error(response, status)
+
+
+@pytest.mark.parametrize("length_header", [b"", b"Content-Length: 1\r\n"],
+                         ids=["chunked", "chunked_with_length"])
+def test_http_transfer_encoding_is_501_and_closes(length_header):
+    # Read as raw bytes, the chunk lines would parse as a second request.
+    with running(_counter(), initial=Int(1)) as (p, client):
+        response = _exchange(
+            p.config.port,
+            b"POST /add/1 HTTP/1.1\r\nHost: test\r\n" + length_header
+            + b"Transfer-Encoding: chunked\r\n\r\n1\r\n5\r\n0\r\n\r\n")
+        assert "error" in _json_error(response, 501)
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert p.cell.snapshot() == Int(1)

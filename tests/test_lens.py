@@ -3,10 +3,10 @@ import random
 import pytest
 
 from lenserv.checks import ADDRESS, USER, address_lens, append_lens, street_number_lens
+from lenserv.containers import const_of, coproduct, pinned
+from lenserv.deplens import BoundaryMismatch, DepLens
 from lenserv.lens import (
     Boundary,
-    BoundaryMismatch,
-    PlainLens,
     check_laws,
     compose,
     fst_lens,
@@ -69,8 +69,8 @@ def test_parallel_is_componentwise():
     both = a * b
     rng = random.Random(6)
     for _ in range(200):
-        x = generate_value(both.src.fwd, rng)
-        v = generate_value(both.dst.bwd, rng)
+        x = generate_value(both.src.shape, rng)
+        v = generate_value(both.dst.shape, rng)
         assert both.view(x) == Pair(a.view(x.first), b.view(x.second))
         assert both.update(x, v) == Pair(
             a.update(x.first, v.first), b.update(x.second, v.second)
@@ -99,7 +99,7 @@ def test_composition_is_associative():
     rng = random.Random(9)
     for _ in range(300):
         user = generate_value(USER, rng)
-        v = generate_value(inner.dst.bwd, rng)
+        v = generate_value(inner.dst.shape, rng)
         assert one.view(user) == two.view(user)
         assert one.update(user, v) == two.update(user, v)
 
@@ -155,14 +155,35 @@ def test_append_lens_violates_put_put():
 
 
 def test_law_check_rejects_polymorphic_lenses():
-    skewed = PlainLens(
-        Boundary(IntS(), TextS()),
-        Boundary(IntS(), TextS()),
+    skewed = DepLens(
+        pinned(IntS(), TextS()),
+        pinned(IntS(), TextS()),
         view=lambda x: x,
         update=lambda x, v: v,
     )
     with pytest.raises(ValueError):
         check_laws(skewed)
+
+
+def test_law_check_accepts_parallel_lenses():
+    both = fst_lens(ProdS(IntS(), TextS())) * snd_lens(ProdS(BoolS(), IntS()))
+    report = check_laws(both, n=500, rng=random.Random(14))
+    assert report.ok, str(report)
+    assert report.samples == 500
+
+    with pytest.raises(ValueError):
+        check_laws(identity(Boundary(IntS(), TextS())))
+
+
+def test_law_check_rejects_a_lens_polymorphic_at_some_point():
+    # Monomorphic at every Inl shape, not at Inr ones; no law may run.
+    c = coproduct(const_of(IntS()), pinned(BoolS(), TextS()))
+
+    def update(x, v):
+        raise AssertionError("a law ran on a polymorphic lens")
+
+    with pytest.raises(ValueError):
+        check_laws(DepLens(c, c, view=lambda x: x, update=update), rng=random.Random(15))
 
 
 def test_exhaustive_law_check():
@@ -178,9 +199,9 @@ def test_exhaustive_law_check():
 def test_reported_counterexamples_are_honest():
     # A view/update pair that silently drops large writes: get-put holds,
     # put-get does not, and the reported pair must actually witness that.
-    cap = PlainLens(
-        Boundary(IntS(), IntS()),
-        Boundary(IntS(), IntS()),
+    cap = DepLens(
+        const_of(IntS()),
+        const_of(IntS()),
         view=lambda x: x,
         update=lambda x, v: v if abs(v.i) <= 10 else x,
     )

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from lenserv.containers import Container, const_of, pinned, product, tensor, unit_positions
-from lenserv.deplens import DepLens, embed_plain
-from lenserv.lens import Boundary, BoundaryMismatch, PlainLens, fst_lens, snd_lens
+from lenserv.deplens import BoundaryMismatch, DepLens
+from lenserv.lens import fst_lens, snd_lens
 from lenserv.servers import (
     HandlerError,
     Server,
@@ -43,8 +43,8 @@ from lenserv.values import (
 
 
 def _negate():
-    b = Boundary(IntS(), IntS())
-    return PlainLens(b, b, view=lambda x: Int(-x.i), update=lambda x, v: Int(-v.i))
+    b = const_of(IntS())
+    return DepLens(b, b, view=lambda x: Int(-x.i), update=lambda x, v: Int(-v.i))
 
 
 # ----------------------------------------------------------------- primitives
@@ -106,7 +106,7 @@ def test_handler_errors_propagate():
 def test_reparam_routes_state_through_the_lens():
     s = state_server(const_of(IntS()))
     wide = ProdS(IntS(), TextS())
-    focus = embed_plain(fst_lens(wide))
+    focus = fst_lens(wide)
     r = reparam_server(s, focus)
     assert r.param.shape == wide
     st = Pair(Int(3), Text("keep"))
@@ -117,7 +117,7 @@ def test_reparam_routes_state_through_the_lens():
 def test_reparam_rejects_mismatched_state():
     s = state_server(const_of(IntS()))
     with pytest.raises(BoundaryMismatch):
-        reparam_server(s, embed_plain(fst_lens(ProdS(BoolS(), TextS()))))
+        reparam_server(s, fst_lens(ProdS(BoolS(), TextS())))
 
 
 def test_seq_chains_responses_into_requests():
@@ -275,10 +275,10 @@ def _oracle_cases():
         "pre_get": (pre_compose, _ref_pre, drop_text, peek),
         "pre_post": (pre_compose, _ref_pre, drop_text, put),
         "reparam_state": (reparam_server, _ref_reparam, state_server(counter),
-                          embed_plain(fst_lens(ProdS(IntS(), TextS())))),
+                          fst_lens(ProdS(IntS(), TextS()))),
         "reparam_get": (reparam_server, _ref_reparam, peek,
-                        embed_plain(snd_lens(ProdS(TextS(), IntS())))),
-        "reparam_post": (reparam_server, _ref_reparam, put, embed_plain(fst_lens(ints))),
+                        snd_lens(ProdS(TextS(), IntS()))),
+        "reparam_post": (reparam_server, _ref_reparam, put, fst_lens(ints)),
         "seq_state_lens": (seq_server, _ref_seq, state_server(counter), negate),
         "seq_get_get": (seq_server, _ref_seq, peek, sign),
         "seq_post_state": (seq_server, _ref_seq, bump, state_server(flag)),

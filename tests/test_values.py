@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +340,22 @@ def test_map_is_immutable_and_hashable():
         m.entries = ()
     assert hash(m) == hash(Map([[Nat(1), Text("a")]]))
     assert repr(m) == "Map([(Nat(1), Text('a'))])"
+
+
+def test_map_survives_pickle_and_deepcopy_and_stays_frozen():
+    built = Map(((Nat(1), Text("a")), (Nat(2), Text("b"))))
+    grown = map_insert(map_insert(built, Nat(3), Text("c")), Nat(1), Text("z"))
+    for m in (built, grown):
+        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert twin == m
+            assert twin.entries == m.entries
+            assert map_lookup(twin, Nat(1)) == map_lookup(m, Nat(1))
+            assert encode_json(twin) == encode_json(m)
+        with pytest.raises(FrozenInstanceError):
+            m.entries = ()
+        with pytest.raises(FrozenInstanceError):
+            m._index = {}
+    assert grown.entries == ((Nat(1), Text("z")), (Nat(2), Text("b")), (Nat(3), Text("c")))
 
 
 def _lookup_comparisons(monkeypatch, size):
