@@ -44,12 +44,12 @@ from .routing import (
     render_uri, describe_routes,
 )
 from .state import (
-    ActionFamily, ActionDerivationError, StateContractError, act_const,
-    act_tensor, act_sum, act_prod, derive_action, initial_state, StateCell,
+    ActionFamily, ActionDerivationError, StateContractError, derive_action,
+    initial_state, StateCell,
 )
 from .engine import (
-    EngineConfig, HttpResponse, PrepareError, PreparedServer, prepare,
-    handle_get, handle_post, serve, serve_background,
+    EngineConfig, MAX_BODY_BYTES, HttpResponse, PrepareError, PreparedServer,
+    prepare, handle_get, handle_post, serve, serve_background,
 )
 from .demos import build_calculator, build_iot, build_todo, build_combined, DEMOS
 

@@ -5,14 +5,15 @@
     lenserv routes --server calculator
 
 ``serve`` runs one of the bundled demo servers.  With ``--snapshot``,
-state is loaded from the file at startup (if it exists) and written
-back on shutdown, using the same canonical JSON that travels over the
+state is loaded from the file at startup (if it exists) and replaced
+whole on shutdown, using the same canonical JSON that travels over the
 wire.  ``laws`` runs the property suite and exits nonzero if anything
 fails.  ``routes`` prints the path grammar the engine derived.
 """
 
 import argparse
 import logging
+import os
 import signal
 import sys
 from pathlib import Path
@@ -77,8 +78,22 @@ def _cmd_serve(args) -> int:
         serve(prepared)
     finally:
         if args.snapshot is not None:
-            args.snapshot.write_text(encode_json(prepared.cell.snapshot()), "utf-8")
+            _save(args.snapshot, encode_json(prepared.cell.snapshot()))
     return 0
+
+
+def _save(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``, so a crash mid-write leaves the previous snapshot whole."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _cmd_laws(args) -> int:

@@ -18,8 +18,9 @@ state.
 
 Status mapping: 200 success, 400 bad body, bad framing (a malformed
 request line or ``Content-Length``; the connection is then closed) or
-handler-signalled domain error, 404 no route, 405 other methods, 413
-oversized body, 500 broken typing contract (a library or handler bug,
+handler-signalled domain error, 404 no route, 405 other methods, 413 a
+body announced over ``MAX_BODY_BYTES`` (1 MiB; unread, the connection
+is then closed), 500 broken typing contract (a library or handler bug,
 never a client mistake), 501 a body sent with ``Transfer-Encoding``
 (unread; the connection is then closed).
 Every response body is JSON; errors look like ``{"error": "..."}``.
@@ -46,8 +47,9 @@ from .values import (
 
 
 __all__ = [
-    "EngineConfig", "HttpResponse", "PrepareError", "PreparedServer",
-    "prepare", "handle_get", "handle_post", "serve", "serve_background",
+    "EngineConfig", "MAX_BODY_BYTES", "HttpResponse", "PrepareError",
+    "PreparedServer", "prepare", "handle_get", "handle_post", "serve",
+    "serve_background",
 ]
 
 _log = logging.getLogger("lenserv.engine")
@@ -57,16 +59,17 @@ class PrepareError(Exception):
     """The server value cannot be driven by the engine as configured."""
 
 
+# A request announcing a longer body is refused unread with a 413.
+MAX_BODY_BYTES = 1 << 20
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     port: int = 8080
-    max_body_bytes: int = 1 << 20
 
     def __post_init__(self):
         if not 1 <= self.port <= 65535:
             raise ValueError(f"port must be in 1..65535, got {self.port}")
-        if self.max_body_bytes <= 0:
-            raise ValueError("max_body_bytes must be positive")
 
 
 @dataclass(frozen=True)
@@ -187,8 +190,6 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
 
 
 def _make_handler(p: PreparedServer):
-    max_body = p.config.max_body_bytes
-
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         timeout = 30  # reap idle keep-alive connections
@@ -237,7 +238,7 @@ def _make_handler(p: PreparedServer):
                 self.close_connection = True
                 self._finish(_error(400, "invalid Content-Length"), started)
                 return
-            if length > max_body:
+            if length > MAX_BODY_BYTES:
                 # Refuse without reading; a connection with an unread
                 # body on it cannot be reused.
                 self.close_connection = True

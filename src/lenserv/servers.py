@@ -28,7 +28,7 @@ Only ``get_lens``, ``post_lens``, ``state_server``, ``lens_server``,
 ``ext_choice`` and ``capture_prefix`` write their own backward pass;
 every other combinator is ``dep_compose`` / ``dep_parallel`` over
 identities and small adapters, so the backward threading lives in
-``deplens`` alone.
+``deplens`` alone, and so does the one ``BoundaryMismatch`` check.
 
 Handlers written for ``get_lens`` / ``post_lens`` signal domain
 failures (division by zero, missing key) by raising ``HandlerError``;
@@ -38,10 +38,9 @@ the HTTP engine turns that into a 400 response.
 from dataclasses import dataclass
 
 from .containers import (
-    Container, agree, const_of, coproduct, pinned, product, tensor,
-    unit_positions,
+    Container, const_of, coproduct, pinned, product, tensor, unit_positions,
 )
-from .deplens import BoundaryMismatch, DepLens, dep_identity
+from .deplens import DepLens, dep_identity
 from .values import (
     BoolS, Inl, Inr, IntS, NatS, Pair, ProdS, Schema, TextS, LitS, Unit,
     UnitS,
@@ -119,8 +118,6 @@ def reparam_server(s: Server, l: DepLens) -> Server:
     """Change the state interface of ``s`` by running ``l`` in front of
     it: reads of the old state go through ``l.view``, state diffs come
     back through ``l.update``."""
-    if not agree(l.dst, s.param):
-        raise BoundaryMismatch(f"reparam: {l.dst!r} does not meet {s.param!r}")
     return Server(s.left, l.src, s.right,
                   (dep_identity(s.left) * l) >> s.lens)
 
@@ -128,8 +125,6 @@ def reparam_server(s: Server, l: DepLens) -> Server:
 def seq_server(a: Server, b: Server) -> Server:
     """Chain two servers: ``a``'s responses become ``b``'s requests.
     The composite keeps both states, side by side."""
-    if not agree(a.right, b.left):
-        raise BoundaryMismatch(f"seq: {a.right!r} does not meet {b.left!r}")
     param = tensor(a.param, b.param)
     # (x, (sa, sb)) -> ((x, sa), sb), and positions back the other way
     reassoc = DepLens(
@@ -144,8 +139,6 @@ def seq_server(a: Server, b: Server) -> Server:
 def pre_compose(l: DepLens, s: Server) -> Server:
     """Adapt the request interface of ``s`` through ``l``; the
     response position flows back out through ``l.update``."""
-    if not agree(l.dst, s.left):
-        raise BoundaryMismatch(f"pre_compose: {l.dst!r} does not meet {s.left!r}")
     return Server(l.src, s.param, s.right,
                   (l * dep_identity(s.param)) >> s.lens)
 
@@ -154,8 +147,6 @@ def post_compose(s: Server, l: DepLens) -> Server:
     """Focus the response interface of ``s`` through ``l``: GETs see
     the focused part, POST bodies are widened back into a full response
     position before ``s`` handles them."""
-    if not agree(s.right, l.src):
-        raise BoundaryMismatch(f"post_compose: {s.right!r} does not meet {l.src!r}")
     return Server(s.left, s.param, l.dst, s.lens >> l)
 
 
@@ -205,11 +196,7 @@ def ext_choice(a: Server, b: Server) -> Server:
 def clone_choice(a: Server, b: Server) -> Server:
     """External choice between two servers that share one state.  Both
     sides read the same state; whichever side handles the request also
-    writes it."""
-    if not agree(a.param, b.param):
-        raise BoundaryMismatch(
-            f"clone_choice needs a shared state interface: "
-            f"{a.param!r} vs {b.param!r}")
+    writes it; differing state interfaces raise ``BoundaryMismatch``."""
     shared = a.param
     duplicate = DepLens(
         shared, product(shared, shared),

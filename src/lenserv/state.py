@@ -5,12 +5,15 @@ position, not a new state.  An ActionFamily says how such a diff moves
 the state: const state is replaced outright, tensored state updates
 componentwise, summed state updates inside whichever tag is present,
 and product state (separate states side by side, as external choice
-builds) updates exactly the component the diff addresses.
+builds) updates exactly the component the diff addresses.  Its *slot*
+is the diff that would change nothing, built from the state's own
+parts, so a commit skips each part of a diff that the state holds.
 
-``derive_action`` reads the action off a container's structure, so any
-server built from the library combinators gets its state semantics for
-free.  ``StateCell`` holds the live value behind a lock; the engine
-runs each POST's read-update-write sequence inside one transaction.
+``derive_action`` reads both off a container's structure in one
+recursion, so any server built from the library combinators gets its
+state semantics for free.  ``StateCell`` holds the live value behind a
+lock; the engine runs each POST's read-update-write sequence inside
+one transaction.
 """
 
 import threading
@@ -18,13 +21,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
-from .containers import Container, const_of, coproduct, product, tensor
-from .values import Inl, Inr, Pair, Schema, UnitS, Value, conforms, default_value
+from .containers import Container
+from .values import Inl, Inr, Pair, UnitS, Value, conforms, default_value
 
 
 __all__ = [
     "ActionFamily", "ActionDerivationError", "StateContractError",
-    "act_const", "act_tensor", "act_sum", "act_prod",
     "derive_action", "initial_state", "StateCell",
 ]
 
@@ -39,40 +41,12 @@ class StateContractError(Exception):
 
 @dataclass(frozen=True)
 class ActionFamily:
-    """A container together with ``act(state, diff) -> state``."""
+    """``act(state, diff)`` moves a state by a diff; ``slot(state, diff)``
+    is the diff that would leave ``state`` unchanged, laid out like
+    ``diff`` and built from parts of ``state``, None where none fits."""
 
-    container: Container
     act: Callable[[Value, Value], Value]
-
-
-def act_const(s: Schema) -> ActionFamily:
-    """Diffs on const state are whole replacement values."""
-    return ActionFamily(const_of(s), lambda v, p: p)
-
-
-def act_tensor(a: ActionFamily, b: ActionFamily) -> ActionFamily:
-    def act(v, p):
-        return Pair(a.act(v.first, p.first), b.act(v.second, p.second))
-    return ActionFamily(tensor(a.container, b.container), act)
-
-
-def act_sum(a: ActionFamily, b: ActionFamily) -> ActionFamily:
-    """The diff lands inside whichever tag the state carries; the tag
-    itself never changes."""
-    def act(v, p):
-        if isinstance(v, Inl):
-            return Inl(a.act(v.value, p))
-        return Inr(b.act(v.value, p))
-    return ActionFamily(coproduct(a.container, b.container), act)
-
-
-def act_prod(a: ActionFamily, b: ActionFamily) -> ActionFamily:
-    """The diff's tag picks the component; the other is untouched."""
-    def act(v, p):
-        if isinstance(p, Inl):
-            return Pair(a.act(v.first, p.value), v.second)
-        return Pair(v.first, b.act(v.second, p.value))
-    return ActionFamily(product(a.container, b.container), act)
+    slot: Callable[[Value, Value], Value | None]
 
 
 def derive_action(c: Container) -> ActionFamily:
@@ -86,57 +60,51 @@ def derive_action(c: Container) -> ActionFamily:
     if tag == "pinned":
         pos = c.form[1]
         if pos == c.shape:
-            return ActionFamily(c, lambda v, p: p)
+            # A diff is the whole replacement value; the state is its own slot.
+            return ActionFamily(lambda v, p: p, lambda v, p: v)
         if pos == UnitS():
-            return ActionFamily(c, lambda v, p: v)
+            return ActionFamily(lambda v, p: v, lambda v, p: None)
         raise ActionDerivationError(
             f"pinned container {c!r}: positions {pos!r} are neither the "
             f"shape nor unit, so diffs have no meaning as updates")
-    sub_a = derive_action(c.form[1])
-    sub_b = derive_action(c.form[2])
+    a = derive_action(c.form[1])
+    b = derive_action(c.form[2])
     if tag == "tensor":
-        base = act_tensor(sub_a, sub_b)
+        def act(v, p):
+            return Pair(a.act(v.first, p.first), b.act(v.second, p.second))
+
+        def slot(v, p):
+            if not isinstance(p, Pair):
+                return None
+            return Pair(a.slot(v.first, p.first), b.slot(v.second, p.second))
     elif tag == "coproduct":
-        base = act_sum(sub_a, sub_b)
+        # The diff lands inside whichever tag the state carries; the
+        # tag itself never changes.
+        def act(v, p):
+            if isinstance(v, Inl):
+                return Inl(a.act(v.value, p))
+            return Inr(b.act(v.value, p))
+
+        def slot(v, p):
+            if isinstance(v, Inl):
+                return a.slot(v.value, p)
+            return b.slot(v.value, p)
     elif tag == "product":
-        base = act_prod(sub_a, sub_b)
+        # The diff's tag picks the component; the other is untouched.
+        def act(v, p):
+            if isinstance(p, Inl):
+                return Pair(a.act(v.first, p.value), v.second)
+            return Pair(v.first, b.act(v.second, p.value))
+
+        def slot(v, p):
+            if isinstance(p, Inl):
+                return Inl(a.slot(v.first, p.value))
+            if isinstance(p, Inr):
+                return Inr(b.slot(v.second, p.value))
+            return None
     else:
         raise ActionDerivationError(f"unknown container form {tag!r} in {c!r}")
-    return ActionFamily(c, base.act)
-
-
-def _verified_slot(c: Container, state: Value, diff: Value) -> Value | None:
-    """A value of ``c.position(state)`` built from parts of ``state``
-    (which conforms to ``c.shape``), laid out like ``diff`` so that
-    ``conforms`` can walk the two in parallel; None where no part of
-    the state is a position.  The recursion follows the one in
-    ``derive_action``: a slot whose positions are its shape is the
-    state itself, a product diff addresses the component its tag picks,
-    a tensor diff both components, and a coproduct diff the component
-    the state's tag names."""
-    form = c.form
-    if form is None:
-        return None
-    tag = form[0]
-    if tag == "pinned":
-        return state if form[1] == c.shape else None
-    a, b = form[1], form[2]
-    if tag == "product":
-        if isinstance(diff, Inl):
-            return Inl(_verified_slot(a, state.first, diff.value))
-        if isinstance(diff, Inr):
-            return Inr(_verified_slot(b, state.second, diff.value))
-        return None
-    if tag == "tensor":
-        if not isinstance(diff, Pair):
-            return None
-        return Pair(_verified_slot(a, state.first, diff.first),
-                    _verified_slot(b, state.second, diff.second))
-    if tag == "coproduct":
-        if isinstance(state, Inl):
-            return _verified_slot(a, state.value, diff)
-        return _verified_slot(b, state.value, diff)
-    return None
+    return ActionFamily(act, slot)
 
 
 def initial_state(c: Container) -> Value:
@@ -173,7 +141,7 @@ class StateCell:
         with self._lock:
             old = self._current
             pos = self.container.position(old)
-            if not conforms(pos, diff, _verified_slot(self.container, old, diff)):
+            if not conforms(pos, diff, self.action.slot(old, diff)):
                 raise StateContractError(
                     f"diff {diff!r} does not conform to position schema {pos!r}")
             new = self.action.act(old, diff)

@@ -13,7 +13,7 @@ decidable by testing: two values are equal exactly when their trees are.
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, compress, repeat
 from operator import is_not
 
@@ -39,27 +39,24 @@ class Value:
 
     __slots__ = ()
 
+    def __repr__(self):
+        args = ", ".join(repr(getattr(self, f.name)) for f in fields(self))
+        return f"{type(self).__name__}({args})"
+
 
 @dataclass(frozen=True, repr=False)
 class Unit(Value):
-    def __repr__(self):
-        return "Unit()"
+    pass
 
 
 @dataclass(frozen=True, repr=False)
 class Bool(Value):
     b: bool
 
-    def __repr__(self):
-        return f"Bool({self.b})"
-
 
 @dataclass(frozen=True, repr=False)
 class Int(Value):
     i: int
-
-    def __repr__(self):
-        return f"Int({self.i})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -70,16 +67,10 @@ class Nat(Value):
         if self.n < 0:
             raise ValueError(f"Nat payload must be >= 0, got {self.n}")
 
-    def __repr__(self):
-        return f"Nat({self.n})"
-
 
 @dataclass(frozen=True, repr=False)
 class Text(Value):
     s: str
-
-    def __repr__(self):
-        return f"Text({self.s!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -87,24 +78,15 @@ class Pair(Value):
     first: Value
     second: Value
 
-    def __repr__(self):
-        return f"Pair({self.first!r}, {self.second!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class Inl(Value):
     value: Value
 
-    def __repr__(self):
-        return f"Inl({self.value!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class Inr(Value):
     value: Value
-
-    def __repr__(self):
-        return f"Inr({self.value!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -176,45 +158,39 @@ def map_insert(m: Map, key: Value, value: Value) -> Map:
 
 
 class Schema:
-    """Base class for schemas.  Instances compare structurally."""
+    """Base class for schemas.  Instances compare structurally, and a
+    schema with no fields prints as its bare name."""
 
     __slots__ = ()
 
-    def __truediv__(self, other):
-        # ``IntS() / server`` would be handled by Server.__rtruediv__,
-        # but Python only consults the right operand when the left one
-        # returns NotImplemented, so say so explicitly.
-        return NotImplemented
+    def __repr__(self):
+        args = ", ".join(repr(getattr(self, f.name)) for f in fields(self))
+        return f"{type(self).__name__}({args})" if args else type(self).__name__
 
 
 @dataclass(frozen=True, repr=False)
 class UnitS(Schema):
-    def __repr__(self):
-        return "UnitS"
+    pass
 
 
 @dataclass(frozen=True, repr=False)
 class BoolS(Schema):
-    def __repr__(self):
-        return "BoolS"
+    pass
 
 
 @dataclass(frozen=True, repr=False)
 class IntS(Schema):
-    def __repr__(self):
-        return "IntS"
+    pass
 
 
 @dataclass(frozen=True, repr=False)
 class NatS(Schema):
-    def __repr__(self):
-        return "NatS"
+    pass
 
 
 @dataclass(frozen=True, repr=False)
 class TextS(Schema):
-    def __repr__(self):
-        return "TextS"
+    pass
 
 
 @dataclass(frozen=True, repr=False)
@@ -231,17 +207,11 @@ class LitS(Schema):
         if not self.lit or "/" in self.lit:
             raise ValueError(f"literal segment must be non-empty and slash-free: {self.lit!r}")
 
-    def __repr__(self):
-        return f"LitS({self.lit!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class ProdS(Schema):
     left: Schema
     right: Schema
-
-    def __repr__(self):
-        return f"ProdS({self.left!r}, {self.right!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -249,16 +219,10 @@ class SumS(Schema):
     left: Schema
     right: Schema
 
-    def __repr__(self):
-        return f"SumS({self.left!r}, {self.right!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class ListS(Schema):
     elem: Schema
-
-    def __repr__(self):
-        return f"ListS({self.elem!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -269,9 +233,6 @@ class MapS(Schema):
     def __post_init__(self):
         if not is_scalar_schema(self.key):
             raise ValueError(f"Map keys must be scalar, got {self.key!r}")
-
-    def __repr__(self):
-        return f"MapS({self.key!r}, {self.val!r})"
 
 
 _SCALARS = (UnitS, BoolS, IntS, NatS, TextS, LitS)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import free_port, running
-from lenserv.cli import main
+from lenserv.cli import _save, main
 from lenserv.demos import DEMOS, build_calculator, build_combined, build_iot, build_todo
 from lenserv.engine import handle_get, handle_post, prepare
 from lenserv.routing import describe_routes
@@ -24,6 +24,7 @@ from lenserv.values import (
     Pair,
     Text,
     Unit,
+    decode_json,
     encode_json,
 )
 
@@ -241,6 +242,9 @@ def test_cli_serve_with_snapshot_roundtrip(tmp_path):
         assert proc.wait(timeout=10) == 0
 
     assert json.loads(snap.read_text()) == [[7, ["persist me"]]]
+    assert decode_json(build_todo().param.shape, snap.read_text()) == Map(
+        ((Nat(7), List((Text("persist me"),))),))
+    assert list(tmp_path.iterdir()) == [snap]   # no temp file left behind
 
     # a fresh process picks the state back up
     port2 = free_port()
@@ -253,10 +257,29 @@ def test_cli_serve_with_snapshot_roundtrip(tmp_path):
 
         c = Client(port2)
         assert c.get("/all/7") == (200, '["persist me"]')
+        assert c.post("/add/7", '"and me"') == (200, "null")
         c.close()
     finally:
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=10) == 0
+
+    # the second shutdown replaced the existing file whole
+    assert json.loads(snap.read_text()) == [[7, ["and me", "persist me"]]]
+    assert list(tmp_path.iterdir()) == [snap]
+
+
+def test_snapshot_write_that_fails_keeps_the_old_copy(tmp_path, monkeypatch):
+    snap = tmp_path / "state.json"
+    snap.write_text("[[1,[\"old\"]]]")
+
+    def crash(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", crash)
+    with pytest.raises(OSError):
+        _save(snap, "[[1,[\"new\"]]]")
+    assert snap.read_text() == "[[1,[\"old\"]]]"
+    assert list(tmp_path.iterdir()) == [snap]
 
 
 def test_cli_serve_rejects_bad_snapshot(tmp_path):

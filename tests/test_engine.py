@@ -7,6 +7,7 @@ from conftest import free_port, running
 from lenserv.containers import const_of, pinned, tensor
 from lenserv.deplens import DepLens
 from lenserv.engine import (
+    MAX_BODY_BYTES,
     EngineConfig,
     PrepareError,
     handle_get,
@@ -86,10 +87,6 @@ def test_config_validation():
         EngineConfig(port=0)
     with pytest.raises(ValueError):
         EngineConfig(port=70000)
-    with pytest.raises(ValueError):
-        EngineConfig(max_body_bytes=0)
-    with pytest.raises(ValueError):
-        EngineConfig(max_body_bytes=-5)
 
 
 # ------------------------------------------------------------ request handling
@@ -275,21 +272,21 @@ def test_http_bad_utf8_body_is_400():
 def test_http_oversized_body_is_413():
     srv = _counter()
     port = free_port()
-    cfg = EngineConfig(port=port, max_body_bytes=64)
+    cfg = EngineConfig(port=port)
     from lenserv.engine import serve_background
 
     p = prepare(srv, cfg)
     httpd = serve_background(p)
     try:
-        # Announce a huge body and send none of it; the engine must
-        # refuse from the headers alone.
+        # Announce one byte over the limit and send none of it; the
+        # engine must refuse from the headers alone.
         with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
             s.sendall(
                 b"POST /add/1 HTTP/1.1\r\n"
                 b"Host: test\r\n"
                 b"Content-Type: application/json\r\n"
-                b"Content-Length: 1000000\r\n"
-                b"\r\n"
+                b"Content-Length: %d\r\n"
+                b"\r\n" % (MAX_BODY_BYTES + 1)
             )
             s.settimeout(10)
             head = s.recv(4096).decode("utf-8", "replace")
@@ -301,7 +298,7 @@ def test_http_oversized_body_is_413():
 
 def test_http_body_within_limit_is_served():
     srv = _counter()
-    cfg = EngineConfig(port=free_port(), max_body_bytes=64)
+    cfg = EngineConfig(port=free_port())
     from lenserv.engine import serve_background
 
     p = prepare(srv, cfg)
@@ -310,7 +307,8 @@ def test_http_body_within_limit_is_served():
         from conftest import Client
 
         c = Client(cfg.port)
-        assert c.post("/add/1", "7") == (200, "null")
+        body = " " * (MAX_BODY_BYTES - 1) + "7"   # JSON allows leading spaces
+        assert c.post("/add/1", body) == (200, "null")
         c.close()
     finally:
         httpd.shutdown()

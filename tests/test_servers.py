@@ -180,6 +180,27 @@ def test_post_compose_rejects_mismatch():
         post_compose(whole, fst_lens(ProdS(BoolS(), BoolS())))
 
 
+def test_focusing_a_server_checks_its_boundary_once(monkeypatch):
+    import lenserv.containers
+    import lenserv.deplens
+    import lenserv.servers
+
+    # Count top-level checks only: agree's own recursion goes through
+    # lenserv.containers, which is left alone.
+    calls = []
+    real = lenserv.containers.agree
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for module in (lenserv.deplens, lenserv.servers):
+        monkeypatch.setattr(module, "agree", counting, raising=False)
+    a, b = ProdS(IntS(), BoolS()), ProdS(TextS(), IntS())
+    state_server(const_of(ProdS(a, b))) >> (fst_lens(a) * snd_lens(b))
+    assert len(calls) == 1
+
+
 def test_parallel_is_componentwise_on_servers():
     a = state_server(const_of(IntS()))
     b = state_server(const_of(BoolS()))

@@ -6,12 +6,9 @@ import pytest
 from lenserv.containers import Container, const_of, coproduct, pinned, product, tensor, unit_positions
 from lenserv.state import (
     ActionDerivationError,
+    ActionFamily,
     StateCell,
     StateContractError,
-    act_const,
-    act_prod,
-    act_sum,
-    act_tensor,
     derive_action,
     initial_state,
 )
@@ -34,6 +31,7 @@ from lenserv.values import (
     TextS,
     Unit,
     UnitS,
+    conforms,
     generate_value,
     map_insert,
     map_lookup,
@@ -44,24 +42,24 @@ from lenserv.values import (
 
 
 def test_act_const_replaces():
-    a = act_const(IntS())
+    a = derive_action(const_of(IntS()))
     assert a.act(Int(1), Int(9)) == Int(9)
 
 
 def test_act_tensor_is_componentwise():
-    a = act_tensor(act_const(IntS()), act_const(BoolS()))
+    a = derive_action(tensor(const_of(IntS()), const_of(BoolS())))
     got = a.act(Pair(Int(1), Bool(False)), Pair(Int(2), Bool(True)))
     assert got == Pair(Int(2), Bool(True))
 
 
 def test_act_sum_keeps_the_tag():
-    a = act_sum(act_const(IntS()), act_const(BoolS()))
+    a = derive_action(coproduct(const_of(IntS()), const_of(BoolS())))
     assert a.act(Inl(Int(1)), Int(5)) == Inl(Int(5))
     assert a.act(Inr(Bool(False)), Bool(True)) == Inr(Bool(True))
 
 
 def test_act_prod_touches_only_the_addressed_component():
-    a = act_prod(act_const(IntS()), act_const(BoolS()))
+    a = derive_action(product(const_of(IntS()), const_of(BoolS())))
     st = Pair(Int(3), Bool(False))
     assert a.act(st, Inl(Int(8))) == Pair(Int(8), Bool(False))
     assert a.act(st, Inr(Bool(True))) == Pair(Int(3), Bool(True))
@@ -118,6 +116,12 @@ def test_initial_state():
 # ----------------------------------------------------------------- the cell
 
 
+def _no_slot(state, diff):
+    # A hand-built family vouches for no part of a diff, so the commit
+    # checks each diff in full.
+    return None
+
+
 def _int_cell(start=0):
     c = const_of(IntS())
     return StateCell(c, derive_action(c), Int(start))
@@ -146,9 +150,7 @@ def test_cell_rejects_nonconforming_diff():
 def test_cell_rejects_action_that_breaks_the_shape():
     c = const_of(NatS())
     # a malicious action that ignores shapes entirely
-    from lenserv.state import ActionFamily
-
-    bad = ActionFamily(c, lambda v, p: Text("junk"))
+    bad = ActionFamily(lambda v, p: Text("junk"), _no_slot)
     cell = StateCell(c, bad, Nat(0))
     with pytest.raises(StateContractError):
         cell.apply_diff(Nat(1))
@@ -201,8 +203,6 @@ def test_derived_actions_preserve_conformance_on_random_containers():
         kind = rng.choice([product, coproduct, tensor])
         return kind(build(depth + 1), build(depth + 1))
 
-    from lenserv.values import conforms
-
     for _ in range(200):
         c = build()
         action = derive_action(c)
@@ -248,6 +248,32 @@ def test_const_cell_rejects_one_bad_entry_in_a_shared_map(edit):
 
 @pytest.mark.parametrize("edit", ["bad value", "bad item behind shared items",
                                   "bad key appended"])
+def test_tensor_cell_rejects_one_bad_entry_in_a_shared_map(edit):
+    c = tensor(const_of(IntS()), const_of(TODO))
+    state = Pair(Int(1), _todo_map(5000))
+    cell = StateCell(c, derive_action(c), state)
+    with pytest.raises(StateContractError):
+        cell.apply_diff(Pair(Int(2), _bad_edits(state.second)[edit]))
+    assert cell.snapshot() is state
+    good = map_insert(state.second, Nat(2500), List(()))
+    assert cell.apply_diff(Pair(Int(2), good)) == Pair(Int(2), good)
+
+
+@pytest.mark.parametrize("edit", ["bad value", "bad item behind shared items",
+                                  "bad key appended"])
+def test_coproduct_cell_rejects_one_bad_entry_in_a_shared_map(edit):
+    c = coproduct(const_of(IntS()), const_of(TODO))
+    state = Inr(_todo_map(5000))
+    cell = StateCell(c, derive_action(c), state)
+    with pytest.raises(StateContractError):
+        cell.apply_diff(_bad_edits(state.value)[edit])
+    assert cell.snapshot() is state
+    good = map_insert(state.value, Nat(2500), List(()))
+    assert cell.apply_diff(good) == Inr(good)
+
+
+@pytest.mark.parametrize("edit", ["bad value", "bad item behind shared items",
+                                  "bad key appended"])
 def test_combined_cell_rejects_one_bad_entry_in_a_shared_map(edit):
     from lenserv.demos import build_combined
     from lenserv.engine import prepare
@@ -265,25 +291,136 @@ def test_combined_cell_rejects_one_bad_entry_in_a_shared_map(edit):
 def test_diff_check_rejects_a_bad_shared_diff_the_action_would_drop():
     # The action ignores its diff, so only the check on the way in can
     # see the bad entry.
-    from lenserv.state import ActionFamily
-
     c = const_of(TODO)
     state = _todo_map(5000)
-    cell = StateCell(c, ActionFamily(c, lambda v, p: v), state)
+    cell = StateCell(c, ActionFamily(lambda v, p: v, _no_slot), state)
     with pytest.raises(StateContractError):
         cell.apply_diff(_bad_edits(state)["bad value"])
 
 
 def test_cell_rejects_an_action_that_appends_a_bad_entry_to_a_shared_map():
-    from lenserv.state import ActionFamily
-
     c = const_of(TODO)
     state = _todo_map(100)
-    bad = ActionFamily(c, lambda v, p: map_insert(p, Text("junk"), List(())))
+    bad = ActionFamily(lambda v, p: map_insert(p, Text("junk"), List(())), _no_slot)
     cell = StateCell(c, bad, state)
     with pytest.raises(StateContractError):
         cell.apply_diff(map_insert(state, Nat(3), List(())))
     assert cell.snapshot() is state
+
+
+# ------------------------------------------------------------ the diff slot
+
+
+def _random_state_container(rng, depth=0):
+    """A random state container of every form, with unit positions and
+    collection schemas among its pinned leaves."""
+    if depth >= 3 or rng.random() < 0.35:
+        s = rng.choice([IntS(), BoolS(), NatS(), TextS(), ProdS(IntS(), TextS()),
+                        ListS(NatS()), TODO])
+        return const_of(s) if rng.random() < 0.75 else unit_positions(s)
+    kind = rng.choice([product, coproduct, tensor])
+    return kind(_random_state_container(rng, depth + 1),
+                _random_state_container(rng, depth + 1))
+
+
+def _has_hole(slot):
+    if slot is None:
+        return True
+    if isinstance(slot, Pair):
+        return _has_hole(slot.first) or _has_hole(slot.second)
+    if isinstance(slot, (Inl, Inr)):
+        return _has_hole(slot.value)
+    return False
+
+
+def _fill(slot, diff):
+    """``slot`` with each None part taken from ``diff``, sharing the rest."""
+    if slot is None:
+        return diff
+    if not _has_hole(slot):
+        return slot
+    if isinstance(slot, Pair):
+        return Pair(_fill(slot.first, diff.first), _fill(slot.second, diff.second))
+    return type(slot)(_fill(slot.value, diff.value))
+
+
+def _leaf_paths(v, path=()):
+    """``(path, leaf)`` for every scalar leaf of ``v``."""
+    if isinstance(v, Pair):
+        yield from _leaf_paths(v.first, path + (0,))
+        yield from _leaf_paths(v.second, path + (1,))
+    elif isinstance(v, (Inl, Inr)):
+        yield from _leaf_paths(v.value, path + (0,))
+    elif isinstance(v, List):
+        for i, x in enumerate(v.items):
+            yield from _leaf_paths(x, path + (i,))
+    elif isinstance(v, Map):
+        for i, (_, x) in enumerate(v.entries):
+            yield from _leaf_paths(x, path + (i,))
+    else:
+        yield path, v
+
+
+def _replace(v, path, new):
+    """``v`` with the leaf at ``path`` replaced by ``new``; every part
+    off the path is the very object it was."""
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    if isinstance(v, Pair):
+        if i == 0:
+            return Pair(_replace(v.first, rest, new), v.second)
+        return Pair(v.first, _replace(v.second, rest, new))
+    if isinstance(v, (Inl, Inr)):
+        return type(v)(_replace(v.value, rest, new))
+    if isinstance(v, List):
+        return List(v.items[:i] + (_replace(v.items[i], rest, new),) + v.items[i + 1:])
+    key, x = v.entries[i]
+    return map_insert(v, key, _replace(x, rest, new))
+
+
+def _same_kind(leaf):
+    if isinstance(leaf, Bool):
+        return Bool(not leaf.b)
+    if isinstance(leaf, Int):
+        return Int(leaf.i + 1)
+    if isinstance(leaf, Nat):
+        return Nat(leaf.n + 1)
+    if isinstance(leaf, Text):
+        return Text(leaf.s + "!")
+    return Unit()
+
+
+def _other_kind(leaf):
+    return Text("?") if isinstance(leaf, Int) else Int(-1)
+
+
+def test_diff_slot_agrees_with_the_full_check_on_random_containers():
+    rng = random.Random(41)
+    outcomes, holeless = set(), 0
+    for _ in range(400):
+        c = _random_state_container(rng)
+        action = derive_action(c)
+        st = generate_value(c.shape, rng)
+        pos = c.position(st)
+        diff = generate_value(pos, rng)
+        slot = action.slot(st, diff)
+        if not _has_hole(slot):
+            holeless += 1
+            assert action.act(st, slot) == st, (c, st, slot)
+        # diffs built from the slot with one leaf replaced, by a value
+        # of the right kind and of the wrong kind
+        template = _fill(slot, diff)
+        candidates = [template]
+        for path, leaf in _leaf_paths(template):
+            candidates.append(_replace(template, path, _same_kind(leaf)))
+            candidates.append(_replace(template, path, _other_kind(leaf)))
+        for d in candidates:
+            full = conforms(pos, d)
+            assert conforms(pos, d, slot) == full, (c, st, d)
+            outcomes.add(full)
+    assert outcomes == {True, False}
+    assert holeless >= 100
 
 
 def _conforms_calls_per_post(monkeypatch, demo, users):

@@ -342,6 +342,35 @@ def test_map_is_immutable_and_hashable():
     assert repr(m) == "Map([(Nat(1), Text('a'))])"
 
 
+REPRS = [
+    (Unit(), "Unit()"),
+    (Bool(True), "Bool(True)"),
+    (Int(-3), "Int(-3)"),
+    (Nat(4), "Nat(4)"),
+    (Text("it's"), "Text(\"it's\")"),
+    (Pair(Int(1), Unit()), "Pair(Int(1), Unit())"),
+    (Inl(Bool(False)), "Inl(Bool(False))"),
+    (Inr(Text("x")), "Inr(Text('x'))"),
+    (List((Nat(1), Nat(2))), "List([Nat(1), Nat(2)])"),
+    (Map(((Nat(1), List(())),)), "Map([(Nat(1), List([]))])"),
+    (UnitS(), "UnitS"),
+    (BoolS(), "BoolS"),
+    (IntS(), "IntS"),
+    (NatS(), "NatS"),
+    (TextS(), "TextS"),
+    (LitS("add"), "LitS('add')"),
+    (ProdS(IntS(), TextS()), "ProdS(IntS, TextS)"),
+    (SumS(UnitS(), LitS("x")), "SumS(UnitS, LitS('x'))"),
+    (ListS(NatS()), "ListS(NatS)"),
+    (MapS(NatS(), ListS(TextS())), "MapS(NatS, ListS(TextS))"),
+]
+
+
+@pytest.mark.parametrize("thing, text", REPRS, ids=[type(x).__name__ for x, _ in REPRS])
+def test_repr_of_each_kind(thing, text):
+    assert repr(thing) == text
+
+
 def test_map_survives_pickle_and_deepcopy_and_stays_frozen():
     built = Map(((Nat(1), Text("a")), (Nat(2), Text("b"))))
     grown = map_insert(map_insert(built, Nat(3), Text("c")), Nat(1), Text("z"))
