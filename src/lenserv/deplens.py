@@ -57,12 +57,23 @@ def dep_compose(a: DepLens, b: DepLens) -> DepLens:
     Int(3)
     """
     if not agree(a.dst, b.src):
-        raise BoundaryMismatch(f"cannot compose: {a.dst!r} does not meet {b.src!r}")
+        x, y = _first_disagreement(a.dst, b.src)
+        raise BoundaryMismatch(f"cannot compose: {x!r} does not meet {y!r}")
     return DepLens(
         a.src, b.dst,
         view=lambda v: b.view(a.view(v)),
         update=lambda v, p: a.update(v, b.update(a.view(v), p)),
     )
+
+
+def _first_disagreement(a: Container, b: Container) -> tuple:
+    """The first component pair at which ``a`` and ``b`` disagree,
+    descending while both are built by the same combinator."""
+    if a.form and b.form and a.form[0] == b.form[0] != "pinned":
+        for x, y in zip(a.form[1:], b.form[1:]):
+            if not agree(x, y):
+                return _first_disagreement(x, y)
+    return a, b
 
 
 def dep_parallel(a: DepLens, b: DepLens) -> DepLens:

@@ -13,6 +13,7 @@ decidable by testing: two values are equal exactly when their trees are.
 
 import json
 import random
+import weakref
 from dataclasses import dataclass, fields
 from itertools import chain, compress, repeat
 from operator import is_not
@@ -108,9 +109,16 @@ class Map(Value):
     for encoding (the codec is bit-exact), though not for key lookup.
     The entries live in one insertion-ordered ``dict``, so a lookup is
     a hash probe and ``map_insert`` a C-level copy plus one store.
+
+    A Map made by ``map_insert`` also remembers where it came from: a
+    weak reference to the Map it copied (``_base``) and the one key it
+    stored (``_key``).  They are not fields, so equality, hashing and
+    printing ignore them, and pickling and copying drop them.
     """
 
     _index: dict
+    _base = None
+    _key = None
 
     def __init__(self, entries=()):
         entries = tuple(entries)
@@ -139,6 +147,9 @@ class Map(Value):
     def __repr__(self):
         return f"Map({list(self._index.items())!r})"
 
+    def __getstate__(self):
+        return {"_index": self._index}
+
 
 def map_lookup(m: Map, key: Value, default: Value | None = None) -> Value | None:
     return m._index.get(key, default)
@@ -150,6 +161,8 @@ def map_insert(m: Map, key: Value, value: Value) -> Map:
     index[key] = value
     out = object.__new__(Map)   # keys stay distinct; skip the constructor's check
     object.__setattr__(out, "_index", index)
+    object.__setattr__(out, "_base", weakref.ref(m))
+    object.__setattr__(out, "_key", key)
     return out
 
 
@@ -270,7 +283,9 @@ def conforms(s: Schema, v: Value, known: Value | None = None) -> bool:
     very object found at the same place in ``known`` conforms too and
     is not walked again; everything else is checked in full.  With
     ``known`` the persistent new version of a verified value is checked
-    in time proportional to what changed.
+    in time proportional to what changed.  A Map that ``map_insert``
+    made from the very object ``known`` differs from it in one entry,
+    so only that entry is checked.
 
     >>> conforms(ProdS(IntS(), TextS()), Pair(Int(1), Text("x")))
     True
@@ -310,10 +325,14 @@ def conforms(s: Schema, v: Value, known: Value | None = None) -> bool:
     if isinstance(s, MapS):
         if not isinstance(v, Map):
             return False
-        # An entry conforms when its key and its value do, so keys and
-        # values are scanned apart and each checked where it moved.
         new = v._index
         old = known._index if isinstance(known, Map) else {}
+        if known is not None and v._base is not None and v._base() is known:
+            # v is known with one key stored: check just that entry.
+            k = v._key
+            return (k in old or conforms(s.key, k)) and conforms(s.val, new[k], old.get(k))
+        # An entry conforms when its key and its value do, so keys and
+        # values are scanned apart and each checked where it moved.
         return (all(conforms(s.key, k, kk) for k, kk in _moved(new, old))
                 and all(conforms(s.val, x, kx)
                         for x, kx in _moved(new.values(), old.values())))

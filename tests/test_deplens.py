@@ -27,6 +27,19 @@ def test_dep_compose_rejects_disagreeing_containers():
         dep_compose(a, b)
 
 
+def test_dep_compose_names_the_first_pair_that_disagrees():
+    deep = tensor(const_of(IntS()), tensor(const_of(BoolS()), const_of(IntS())))
+    other = tensor(const_of(IntS()), tensor(const_of(IntS()), const_of(BoolS())))
+    with pytest.raises(BoundaryMismatch) as err:
+        dep_compose(dep_identity(deep), dep_identity(other))
+    assert str(err.value) == ("cannot compose: Container(BoolS, pinned BoolS) "
+                              "does not meet Container(IntS, pinned IntS)")
+    # forms built by different combinators are named whole
+    flat = const_of(ProdS(IntS(), ProdS(IntS(), BoolS())))
+    with pytest.raises(BoundaryMismatch, match=r"tensor\(.*\) does not meet Container\(ProdS"):
+        dep_compose(dep_identity(deep), dep_identity(flat))
+
+
 def test_dep_compose_is_associative():
     outer = fst_lens(ProdS(USER, BoolS()))
     mid = address_lens

@@ -120,6 +120,14 @@ def test_reparam_rejects_mismatched_state():
         reparam_server(s, fst_lens(ProdS(BoolS(), TextS())))
 
 
+def test_a_boundary_mismatch_names_the_disagreeing_components():
+    s = state_server(const_of(IntS()))
+    with pytest.raises(BoundaryMismatch) as err:
+        reparam_server(s, fst_lens(ProdS(BoolS(), TextS())))
+    assert str(err.value) == ("cannot compose: Container(BoolS, pinned BoolS) "
+                              "does not meet Container(IntS, pinned IntS)")
+
+
 def test_seq_chains_responses_into_requests():
     a = state_server(const_of(IntS()))
     b = lens_server(_negate())

@@ -423,7 +423,8 @@ def test_diff_slot_agrees_with_the_full_check_on_random_containers():
     assert holeless >= 100
 
 
-def _conforms_calls_per_post(monkeypatch, demo, users):
+def _work_per_post(monkeypatch, demo, users):
+    """``(conforms calls, entries handed to _moved)`` in one todo POST."""
     import lenserv.engine
     import lenserv.state
     import lenserv.values
@@ -436,23 +437,58 @@ def _conforms_calls_per_post(monkeypatch, demo, users):
         rest = lenserv.engine.prepare(server).cell.snapshot().second
         initial, prefix = Pair(_todo_map(users), rest), "/todo"
     p = lenserv.engine.prepare(server, initial=initial)
-    calls = [0]
-    real = lenserv.values.conforms
+    calls, entries = [0], [0]
+    real_conforms, real_moved = lenserv.values.conforms, lenserv.values._moved
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return real(*args, **kwargs)
+        return real_conforms(*args, **kwargs)
+
+    def moved(new, old):
+        entries[0] += len(new)
+        return real_moved(new, old)
 
     with monkeypatch.context() as patch:
         for module in (lenserv.values, lenserv.state, lenserv.engine):
             patch.setattr(module, "conforms", counting)
+        patch.setattr(lenserv.values, "_moved", moved)
         resp = lenserv.engine.handle_post(p, f"{prefix}/add/{users - 1}", '"new"')
     assert resp.status == 200
     assert p.cell.snapshot() != initial
-    return calls[0]
+    return calls[0], entries[0]
 
 
 @pytest.mark.parametrize("demo", ["todo", "combined"])
 def test_todo_post_conformance_work_does_not_grow_with_users(monkeypatch, demo):
-    assert (_conforms_calls_per_post(monkeypatch, demo, 5000)
-            <= _conforms_calls_per_post(monkeypatch, demo, 100))
+    assert (_work_per_post(monkeypatch, demo, 5000)[0]
+            <= _work_per_post(monkeypatch, demo, 100)[0])
+
+
+@pytest.mark.parametrize("demo", ["todo", "combined"])
+def test_todo_post_scans_no_more_entries_at_5000_users_than_at_100(monkeypatch, demo):
+    # The commit checks the one entry a POST stores, not the whole Map.
+    assert (_work_per_post(monkeypatch, demo, 5000)[1]
+            == _work_per_post(monkeypatch, demo, 100)[1])
+
+
+@pytest.mark.parametrize("demo", ["todo", "combined"])
+@pytest.mark.parametrize("collect", [False, True], ids=["refcount", "gc"])
+def test_a_commit_lets_the_old_state_be_collected(demo, collect):
+    import gc
+    import weakref
+
+    from lenserv.demos import DEMOS
+    from lenserv.engine import handle_post, prepare
+
+    p = prepare(DEMOS[demo]())
+    route = "/add/1" if demo == "todo" else "/todo/add/1"
+    assert handle_post(p, route, '"a"').status == 200
+    old = p.cell.snapshot()
+    refs = [weakref.ref(old)]
+    if demo == "combined":
+        refs.append(weakref.ref(old.first))
+    del old
+    assert handle_post(p, route, '"b"').status == 200
+    if collect:
+        gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
