@@ -1,14 +1,12 @@
 """Command line entry point.
 
     lenserv serve --server todo --port 8080 [--snapshot state.json]
-    lenserv laws
     lenserv routes --server calculator
 
 ``serve`` runs one of the bundled demo servers.  With ``--snapshot``,
 state is loaded from the file at startup (if it exists) and replaced
 whole on shutdown, using the same canonical JSON that travels over the
-wire.  ``laws`` runs the property suite and exits nonzero if anything
-fails.  ``routes`` prints the path grammar the engine derived.
+wire.  ``routes`` prints the path grammar the engine derived.
 """
 
 import argparse
@@ -18,7 +16,6 @@ import signal
 import sys
 from pathlib import Path
 
-from . import checks
 from .demos import DEMOS
 from .engine import EngineConfig, PrepareError, prepare, serve
 from .routing import describe_routes
@@ -37,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8080)
     p_serve.add_argument("--snapshot", type=Path, default=None,
                          help="file to load state from and save state to")
-
-    sub.add_parser("laws", help="run the law and property suite")
 
     p_routes = sub.add_parser("routes", help="print a demo server's routes")
     p_routes.add_argument("--server", required=True, choices=sorted(DEMOS))
@@ -96,10 +91,6 @@ def _save(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _cmd_laws(args) -> int:
-    return 0 if checks.run_all(verbose=True) else 1
-
-
 def _cmd_routes(args) -> int:
     server = DEMOS[args.server]()
     for route in describe_routes(server.left.shape):
@@ -109,7 +100,7 @@ def _cmd_routes(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    command = {"serve": _cmd_serve, "laws": _cmd_laws, "routes": _cmd_routes}[args.command]
+    command = {"serve": _cmd_serve, "routes": _cmd_routes}[args.command]
     return command(args)
 
 

@@ -41,7 +41,7 @@ from .state import (
     initial_state,
 )
 from .values import (
-    DecodeError, Inl, Inr, Pair, SumS, Value, conforms, decode_json,
+    DecodeError, Inl, LitS, Pair, ProdS, SumS, Value, conforms, decode_json,
     encode_json,
 )
 
@@ -119,18 +119,23 @@ def _error(status: int, message: str) -> HttpResponse:
     return HttpResponse(status, '{"error":%s}' % json.dumps(message, ensure_ascii=False))
 
 
-def _strip_route_tags(schema, v: Value) -> Value:
-    # Choice composition tags forward values with the route that
-    # produced them; the client named one route, so tags are not part
-    # of the payload.
-    while isinstance(schema, SumS):
-        if isinstance(v, Inl):
-            schema, v = schema.left, v.value
-        elif isinstance(v, Inr):
-            schema, v = schema.right, v.value
+def _strip_route_tags(schema, x: Value, y: Value) -> Value:
+    # Choice composition tags a forward value with the branch the
+    # request took; the client named that branch in the path, so the tag
+    # is not payload.  The parsed request ``x`` gives the route's tags:
+    # each sum of its schema one, walking on past a leading literal
+    # segment and stopping at anything else.  They are stripped from
+    # ``y`` while they match; a tag after them is the payload's own.
+    while True:
+        if isinstance(schema, SumS):
+            if type(x) is not type(y):
+                return y
+            schema = schema.left if isinstance(x, Inl) else schema.right
+            x, y = x.value, y.value
+        elif isinstance(schema, ProdS) and isinstance(schema.left, LitS):
+            schema, x = schema.right, x.second
         else:
-            break
-    return v
+            return y
 
 
 def _route(p: PreparedServer, path: str) -> Value | None:
@@ -167,7 +172,7 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
                 if not conforms(server.right.shape, y):
                     return _error(500, "forward pass broke the response contract")
                 return HttpResponse(
-                    200, encode_json(_strip_route_tags(server.right.shape, y)))
+                    200, encode_json(_strip_route_tags(server.left.shape, x, y)))
             r = decode_json(server.right.position(y), body)
             phase = "backward pass"
             out = server.lens.update(v, r)

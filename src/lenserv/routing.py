@@ -159,7 +159,9 @@ def parse_uri(s: Schema, path: str) -> Value | None:
 
 def render_uri(s: Schema, v: Value) -> str:
     """Print a conforming value as a path; inverse of ``parse_uri`` on
-    grammars whose alternatives are distinguishable."""
+    grammars whose alternatives are distinguishable.  Raises ValueError
+    for a value that no path parses back to: one that does not conform,
+    or one with an empty text capture."""
     if not conforms(s, v):
         raise ValueError(f"{v!r} does not conform to {s!r}")
     segments = _render(s, v)
@@ -172,6 +174,8 @@ def _render(s: Schema, v: Value) -> list:
     if isinstance(s, UnitS):
         return []
     if isinstance(s, (LitS, TextS)):
+        if not v.s:
+            raise ValueError(f"an empty {s!r} capture has no path segment")
         return [v.s]
     if isinstance(s, IntS):
         return [str(v.i)]

@@ -1,11 +1,32 @@
-"""Shared test plumbing: free ports, a tiny HTTP client, and a context
-manager that runs a server value on a real socket for a test's duration."""
+"""Shared test plumbing: free ports, a tiny HTTP client, a context
+manager that runs a server value on a real socket for a test's duration,
+and the address-book lenses several suites check the laws on."""
 
 import socket
 from contextlib import contextmanager
 from http.client import HTTPConnection
 
-from lenserv import EngineConfig, prepare, serve_background
+from lenserv import (
+    Bool, BoolS, DepLens, EngineConfig, IntS, List, ListS, ProdS, TextS,
+    const_of, fst_lens, prepare, serve_background, snd_lens,
+)
+
+
+# A little address book, the classic example of focused record access.
+ADDRESS = ProdS(TextS(), ProdS(TextS(), IntS()))       # city, (street, number)
+USER = ProdS(TextS(), ProdS(ADDRESS, TextS()))         # name, (address, birthdate)
+
+address_lens = snd_lens(USER) >> fst_lens(ProdS(ADDRESS, TextS()))
+street_number_lens = snd_lens(ADDRESS) >> snd_lens(ProdS(TextS(), IntS()))
+
+# Appending looks like an update but is not one: pushing the same value
+# twice is not the same as pushing it once, so put-put must fail.
+append_lens = DepLens(
+    const_of(ListS(BoolS())),
+    const_of(BoolS()),
+    view=lambda xs: xs.items[-1] if xs.items else Bool(False),
+    update=lambda xs, v: List(xs.items + (v,)),
+)
 
 
 def free_port() -> int:

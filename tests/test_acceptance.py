@@ -9,8 +9,8 @@ import random
 import threading
 from collections import Counter
 
-from conftest import running
-from lenserv.checks import ADDRESS, USER, address_lens, append_lens, street_number_lens
+from conftest import ADDRESS, USER, address_lens, append_lens, running, street_number_lens
+from generators import random_schema, route_like, route_value
 from lenserv.containers import const_of, product
 from lenserv.deplens import DepLens
 from lenserv.engine import handle_get, prepare
@@ -22,22 +22,16 @@ from lenserv.values import (
     Bool,
     BoolS,
     Inl,
-    Inr,
     Int,
     IntS,
     List,
     ListS,
     LitS,
-    MapS,
-    Nat,
     NatS,
     Pair,
     ProdS,
-    SumS,
     Text,
     TextS,
-    Unit,
-    UnitS,
     conforms,
     decode_json,
     encode_json,
@@ -261,60 +255,16 @@ def test_09_gets_are_pure():
     print("PASS 09: 100 random GETs leave each demo's state bit-identical")
 
 
-def _random_schema(rng, depth=0):
-    if depth >= 3 or rng.random() < 0.45:
-        return rng.choice([UnitS(), BoolS(), IntS(), NatS(), TextS(), LitS("lit")])
-    pick = rng.random()
-    if pick < 0.3:
-        return ProdS(_random_schema(rng, depth + 1), _random_schema(rng, depth + 1))
-    if pick < 0.6:
-        return SumS(_random_schema(rng, depth + 1), _random_schema(rng, depth + 1))
-    if pick < 0.8:
-        return ListS(_random_schema(rng, depth + 1))
-    return MapS(rng.choice([IntS(), NatS(), TextS(), BoolS()]),
-                _random_schema(rng, depth + 1))
-
-
-def _route_like(rng, depth=0):
-    if depth >= 3 or rng.random() < 0.4:
-        return rng.choice([IntS(), NatS(), BoolS(), UnitS(),
-                           LitS(f"s{rng.randrange(100)}")])
-    if rng.random() < 0.5:
-        return ProdS(LitS(f"p{rng.randrange(100)}"), _route_like(rng, depth + 1))
-    return SumS(ProdS(LitS(f"a{rng.randrange(100)}"), _route_like(rng, depth + 1)),
-                ProdS(LitS(f"b{rng.randrange(100)}"), _route_like(rng, depth + 1)))
-
-
-def _route_value(s, rng):
-    if isinstance(s, UnitS):
-        return Unit()
-    if isinstance(s, LitS):
-        return Text(s.lit)
-    if isinstance(s, BoolS):
-        return Bool(rng.random() < 0.5)
-    if isinstance(s, IntS):
-        return Int(rng.randint(-999, 999))
-    if isinstance(s, NatS):
-        return Nat(rng.randint(0, 999))
-    if isinstance(s, ProdS):
-        return Pair(_route_value(s.left, rng), _route_value(s.right, rng))
-    if isinstance(s, SumS):
-        if rng.random() < 0.5:
-            return Inl(_route_value(s.left, rng))
-        return Inr(_route_value(s.right, rng))
-    raise AssertionError(s)
-
-
 def test_10_codec_and_uri_roundtrips():
     rng = random.Random(48)
     for _ in range(1000):
-        s = _random_schema(rng)
+        s = random_schema(rng)
         v = generate_value(s, rng)
         assert decode_json(s, encode_json(v)) == v
 
     for _ in range(300):
-        s = _route_like(rng)
-        v = _route_value(s, rng)
+        s = route_like(rng)
+        v = route_value(s, rng)
         assert conforms(s, v)
         assert parse_uri(s, render_uri(s, v)) == v
     print("PASS 10: 1000 codec round-trips and URI render/parse round-trips")

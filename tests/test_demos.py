@@ -177,10 +177,6 @@ def test_combined_unprefixed_paths_do_not_exist():
 # ------------------------------------------------------------------------ cli
 
 
-def test_cli_laws_passes():
-    assert main(["laws"]) == 0
-
-
 def test_cli_routes_prints_the_grammar(capsys):
     assert main(["routes", "--server", "calculator"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

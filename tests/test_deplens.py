@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lenserv.checks import ADDRESS, USER, address_lens, street_number_lens
+from conftest import ADDRESS, USER, address_lens, street_number_lens
 from lenserv.containers import coproduct, const_of, tensor
 from lenserv.deplens import BoundaryMismatch, DepLens, dep_compose, dep_identity, dep_parallel
 from lenserv.lens import fst_lens

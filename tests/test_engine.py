@@ -26,6 +26,7 @@ from lenserv.servers import (
 from lenserv.values import (
     Bool,
     BoolS,
+    Inr,
     Int,
     IntS,
     List,
@@ -34,6 +35,7 @@ from lenserv.values import (
     NatS,
     Pair,
     ProdS,
+    SumS,
     Text,
     TextS,
     UnitS,
@@ -207,6 +209,24 @@ def test_get_responses_drop_route_tags():
     p = prepare(_counter(), initial=Int(9))
     # /peek goes through a choice, but the payload is plain
     assert handle_get(p, "/peek").body == "9"
+
+
+_EITHER = SumS(IntS(), TextS())
+_SUM_STATE = "s" / state_server(const_of(_EITHER))
+
+
+@pytest.mark.parametrize("server, initial, path", [
+    (_SUM_STATE, Inr(Text("hi")), "/s"),
+    (_SUM_STATE + ("n" / state_server(const_of(IntS()))),
+     Pair(Inr(Text("hi")), Int(0)), "/s"),
+    (("n" / get_lens(UnitS(), const_of(_EITHER), IntS(), lambda st, u: Int(0)))
+     & ("e" / get_lens(UnitS(), const_of(_EITHER), _EITHER, lambda st, u: st)),
+     Inr(Text("hi")), "/e"),
+], ids=["alone", "under_ext_choice", "get_lens_under_clone_choice"])
+def test_get_keeps_the_tags_of_a_sum_payload(server, initial, path):
+    # Only the tags of the choices the path went through are dropped.
+    p = prepare(server, initial=initial)
+    assert handle_get(p, path).body == '{"R":"hi"}'
 
 
 def test_post_to_a_read_only_route_answers_unit():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lenserv.checks import ADDRESS, USER, address_lens, append_lens, street_number_lens
+from conftest import ADDRESS, USER, address_lens, append_lens, street_number_lens
 from lenserv.containers import const_of, coproduct, pinned
 from lenserv.deplens import BoundaryMismatch, DepLens
 from lenserv.lens import (

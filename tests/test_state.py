@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from generators import TODO, random_state_container
 from lenserv.containers import Container, const_of, coproduct, pinned, product, tensor, unit_positions
 from lenserv.state import (
     ActionDerivationError,
@@ -215,9 +216,6 @@ def test_derived_actions_preserve_conformance_on_random_containers():
 # ------------------------------------------------- commits that share state
 
 
-TODO = MapS(NatS(), ListS(TextS()))
-
-
 def _todo_map(users):
     return Map(tuple((Nat(u), List((Text("a"), Text("b"), Text("c"))))
                      for u in range(users)))
@@ -311,18 +309,6 @@ def test_cell_rejects_an_action_that_appends_a_bad_entry_to_a_shared_map():
 # ------------------------------------------------------------ the diff slot
 
 
-def _random_state_container(rng, depth=0):
-    """A random state container of every form, with unit positions and
-    collection schemas among its pinned leaves."""
-    if depth >= 3 or rng.random() < 0.35:
-        s = rng.choice([IntS(), BoolS(), NatS(), TextS(), ProdS(IntS(), TextS()),
-                        ListS(NatS()), TODO])
-        return const_of(s) if rng.random() < 0.75 else unit_positions(s)
-    kind = rng.choice([product, coproduct, tensor])
-    return kind(_random_state_container(rng, depth + 1),
-                _random_state_container(rng, depth + 1))
-
-
 def _has_hole(slot):
     if slot is None:
         return True
@@ -399,7 +385,7 @@ def test_diff_slot_agrees_with_the_full_check_on_random_containers():
     rng = random.Random(41)
     outcomes, holeless = set(), 0
     for _ in range(400):
-        c = _random_state_container(rng)
+        c = random_state_container(rng)
         action = derive_action(c)
         st = generate_value(c.shape, rng)
         pos = c.position(st)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import random_schema
 from lenserv.values import (
     Bool,
     BoolS,
@@ -217,22 +218,9 @@ def test_map_lookup_and_insert():
     assert map_lookup(m, Nat(3), List(())) == List((Text("a"),))
 
 
-def _random_schema(rng, depth=0):
-    if depth >= 3 or rng.random() < 0.35:
-        return rng.choice([UnitS(), BoolS(), IntS(), NatS(), TextS(), LitS("k")])
-    kind = rng.randrange(4)
-    if kind == 0:
-        return ProdS(_random_schema(rng, depth + 1), _random_schema(rng, depth + 1))
-    if kind == 1:
-        return SumS(_random_schema(rng, depth + 1), _random_schema(rng, depth + 1))
-    if kind == 2:
-        return ListS(_random_schema(rng, depth + 1))
-    return MapS(rng.choice([IntS(), NatS(), TextS()]), _random_schema(rng, depth + 1))
-
-
 def _stranger(rng):
     """A value that may or may not conform to anything in particular."""
-    return generate_value(_random_schema(rng), rng)
+    return generate_value(random_schema(rng), rng)
 
 
 def _edit(s, v, rng, keep):
@@ -311,7 +299,7 @@ def test_conforms_with_a_known_value_agrees_with_the_full_check():
     rng = random.Random(20260)
     outcomes, inserted = set(), []
     for _ in range(3000):
-        s = _random_schema(rng)
+        s = random_schema(rng)
         known = generate_value(s, rng)
         assert conforms(s, known)
         keep = []
