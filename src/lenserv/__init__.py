@@ -48,8 +48,8 @@ from .state import (
     initial_state, StateCell,
 )
 from .engine import (
-    EngineConfig, MAX_BODY_BYTES, HttpResponse, PrepareError, PreparedServer,
-    prepare, handle_get, handle_post, serve, serve_background,
+    EngineConfig, MAX_BODY_BYTES, IDLE_TIMEOUT_S, HttpResponse, PrepareError,
+    PreparedServer, prepare, handle_get, handle_post, serve, serve_background,
 )
 from .demos import build_calculator, build_iot, build_todo, build_combined, DEMOS
 

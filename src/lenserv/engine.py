@@ -16,13 +16,15 @@ sequence happens inside one state transaction, so concurrent POSTs
 serialize, and a POST answered with anything but 200 has not changed
 state.
 
-Status mapping: 200 success, 400 bad body, bad framing (a malformed
-request line or ``Content-Length``; the connection is then closed) or
-handler-signalled domain error, 404 no route, 405 other methods, 413 a
-body announced over ``MAX_BODY_BYTES`` (1 MiB; unread, the connection
-is then closed), 500 broken typing contract (a library or handler bug,
-never a client mistake), 501 a body sent with ``Transfer-Encoding``
-(unread; the connection is then closed).
+Status mapping: 200 success, 400 bad body or handler-signalled domain
+error, 404 no route, 405 other methods, 500 broken typing contract (a
+library or handler bug, never a client mistake).  A request whose end
+cannot be found, or whose body never arrives whole, is refused and the
+connection closed: 400 a malformed request line, header line or
+``Content-Length``, or a body cut short by the peer; 408 a body that
+stops arriving for ``IDLE_TIMEOUT_S``; 413 a body announced over
+``MAX_BODY_BYTES`` (1 MiB; unread); 501 a body sent with
+``Transfer-Encoding`` (unread).
 Every response body is JSON; errors look like ``{"error": "..."}``.
 """
 
@@ -47,9 +49,9 @@ from .values import (
 
 
 __all__ = [
-    "EngineConfig", "MAX_BODY_BYTES", "HttpResponse", "PrepareError",
-    "PreparedServer", "prepare", "handle_get", "handle_post", "serve",
-    "serve_background",
+    "EngineConfig", "MAX_BODY_BYTES", "IDLE_TIMEOUT_S", "HttpResponse",
+    "PrepareError", "PreparedServer", "prepare", "handle_get", "handle_post",
+    "serve", "serve_background",
 ]
 
 _log = logging.getLogger("lenserv.engine")
@@ -61,6 +63,10 @@ class PrepareError(Exception):
 
 # A request announcing a longer body is refused unread with a 413.
 MAX_BODY_BYTES = 1 << 20
+
+# A connection idle this long is closed; a body that stops arriving for
+# this long is answered 408.
+IDLE_TIMEOUT_S = 30
 
 
 @dataclass(frozen=True)
@@ -119,18 +125,22 @@ def _error(status: int, message: str) -> HttpResponse:
     return HttpResponse(status, '{"error":%s}' % json.dumps(message, ensure_ascii=False))
 
 
-def _strip_route_tags(schema, x: Value, y: Value) -> Value:
+def _strip_route_tags(schema, right, x: Value, y: Value) -> Value:
     # Choice composition tags a forward value with the branch the
     # request took; the client named that branch in the path, so the tag
     # is not payload.  The parsed request ``x`` gives the route's tags:
-    # each sum of its schema one, walking on past a leading literal
-    # segment and stopping at anything else.  They are stripped from
-    # ``y`` while they match; a tag after them is the payload's own.
+    # each sum of its schema one, while the response container ``right``
+    # is a coproduct at the same step (else the sum is a handler's own
+    # uri type), walking on past a leading literal segment and stopping
+    # at anything else.  They are stripped from ``y`` while they match;
+    # a tag after them is the payload's own.
     while True:
-        if isinstance(schema, SumS):
+        if isinstance(schema, SumS) and right.form and right.form[0] == "coproduct":
             if type(x) is not type(y):
                 return y
-            schema = schema.left if isinstance(x, Inl) else schema.right
+            left = isinstance(x, Inl)
+            schema = schema.left if left else schema.right
+            right = right.form[1] if left else right.form[2]
             x, y = x.value, y.value
         elif isinstance(schema, ProdS) and isinstance(schema.left, LitS):
             schema, x = schema.right, x.second
@@ -171,8 +181,8 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
             if body is None:
                 if not conforms(server.right.shape, y):
                     return _error(500, "forward pass broke the response contract")
-                return HttpResponse(
-                    200, encode_json(_strip_route_tags(server.left.shape, x, y)))
+                y = _strip_route_tags(server.left.shape, server.right, x, y)
+                return HttpResponse(200, encode_json(y))
             r = decode_json(server.right.position(y), body)
             phase = "backward pass"
             out = server.lens.update(v, r)
@@ -197,7 +207,7 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
 def _make_handler(p: PreparedServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
-        timeout = 30  # reap idle keep-alive connections
+        timeout = IDLE_TIMEOUT_S  # reap idle keep-alive connections
 
         def _content_length(self) -> int | None:
             """The body length, or None when the framing is unusable:
@@ -212,6 +222,32 @@ def _make_handler(p: PreparedServer):
             if not (value.isascii() and value.isdigit()):
                 return None
             return int(value)
+
+        def _read_body(self) -> bytes | tuple[int, str]:
+            """The request body, or the status and reason to refuse a
+            request whose end cannot be found or whose body never
+            arrived whole."""
+            if self.headers.defects or any("\n" in v for _, v in self.headers.raw_items()):
+                # The stdlib parser turns a line without a colon, and
+                # every line after it, into payload, and a folded line
+                # into part of the value above it: a Content-Length or
+                # Transfer-Encoding there would go unseen.
+                return 400, "malformed header line"
+            if "Transfer-Encoding" in self.headers:
+                # Chunked bodies are not decoded; refuse unread.
+                return 501, "Transfer-Encoding is not supported"
+            length = self._content_length()
+            if length is None:
+                return 400, "invalid Content-Length"
+            if length > MAX_BODY_BYTES:
+                return 413, "request body too large"  # refuse unread
+            try:
+                raw = self.rfile.read(length) if length else b""
+            except TimeoutError:
+                return 408, "request body timed out"
+            if len(raw) < length:
+                return 400, "request body ended early"
+            return raw
 
         def _finish(self, resp: HttpResponse, started: float) -> None:
             data = resp.body.encode("utf-8")
@@ -229,27 +265,11 @@ def _make_handler(p: PreparedServer):
 
         def _dispatch(self) -> None:
             started = perf_counter()
+            raw = self._read_body()
+            if isinstance(raw, tuple):
+                self.send_error(*raw)
+                return
             path = self.path.split("?", 1)[0]
-            if "Transfer-Encoding" in self.headers:
-                # Chunked bodies are not decoded, so where this request
-                # ends is unknown: refuse it unread and hang up.
-                self.close_connection = True
-                self._finish(_error(501, "Transfer-Encoding is not supported"), started)
-                return
-            length = self._content_length()
-            if length is None:
-                # Where this request ends is unknown, so nothing after
-                # it on the connection can be read as a request.
-                self.close_connection = True
-                self._finish(_error(400, "invalid Content-Length"), started)
-                return
-            if length > MAX_BODY_BYTES:
-                # Refuse without reading; a connection with an unread
-                # body on it cannot be reused.
-                self.close_connection = True
-                self._finish(_error(413, "request body too large"), started)
-                return
-            raw = self.rfile.read(length) if length else b""
             if self.command == "GET":
                 resp = handle_get(p, path)
             elif self.command == "POST":
@@ -272,12 +292,14 @@ def _make_handler(p: PreparedServer):
             raise AttributeError(name)
 
         def send_error(self, code, message=None, explain=None):
-            # The stdlib's own framing errors (bad request line,
-            # oversized headers, unsupported version) arrive here.
-            # Answer them in JSON with a status line, like every other
-            # response, and hang up.  A request line that did not parse
-            # leaves the HTTP/0.9 default version, which would suppress
-            # the status line.
+            # Every framing refusal arrives here: the stdlib's own (bad
+            # request line, oversized headers, unsupported version) and
+            # _read_body's.  Where the refused request ends is unknown,
+            # or its body never came whole, so nothing after it on the
+            # connection can be read as a request: answer in JSON with a
+            # status line, like every other response, and hang up.  A request line that did not
+            # parse leaves the HTTP/0.9 default version, which would
+            # suppress the status line.
             self.close_connection = True
             self.request_version = self.protocol_version
             reason = message or self.responses.get(code, ("error",))[0]
@@ -318,5 +340,6 @@ def serve_background(p: PreparedServer) -> ThreadingHTTPServer:
     """Start serving on a daemon thread; shut the result down with
     ``shutdown()`` then ``server_close()``.  For tests and demos."""
     httpd = _build(p)
-    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    # Poll often, so that shutdown() returns within ~50 ms.
+    threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True).start()
     return httpd

@@ -1,14 +1,16 @@
 """Shared test plumbing: free ports, a tiny HTTP client, a context
 manager that runs a server value on a real socket for a test's duration,
-and the address-book lenses several suites check the laws on."""
+a counter server, and the address-book lenses several suites check the
+laws on."""
 
 import socket
 from contextlib import contextmanager
 from http.client import HTTPConnection
 
 from lenserv import (
-    Bool, BoolS, DepLens, EngineConfig, IntS, List, ListS, ProdS, TextS,
-    const_of, fst_lens, prepare, serve_background, snd_lens,
+    Bool, BoolS, DepLens, EngineConfig, Int, IntS, List, ListS, ProdS, TextS,
+    UnitS, const_of, fst_lens, get_lens, post_lens, prepare, serve_background,
+    snd_lens,
 )
 
 
@@ -27,6 +29,14 @@ append_lens = DepLens(
     view=lambda xs: xs.items[-1] if xs.items else Bool(False),
     update=lambda xs, v: List(xs.items + (v,)),
 )
+
+
+def counter():
+    """GET /peek reads an int; POST /add/<n> with body b adds n*b."""
+    c = const_of(IntS())
+    read = get_lens(UnitS(), c, IntS(), lambda st, u: st)
+    add = post_lens(IntS(), c, IntS(), lambda st, n, body: Int(st.i + n.i * body.i))
+    return ("peek" / read) & ("add" / add)
 
 
 def free_port() -> int:

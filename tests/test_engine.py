@@ -1,13 +1,11 @@
 import json
-import socket
 
 import pytest
 
-from conftest import free_port, running
+from conftest import counter
 from lenserv.containers import const_of, pinned, tensor
 from lenserv.deplens import DepLens
 from lenserv.engine import (
-    MAX_BODY_BYTES,
     EngineConfig,
     PrepareError,
     handle_get,
@@ -26,13 +24,12 @@ from lenserv.servers import (
 from lenserv.values import (
     Bool,
     BoolS,
+    Inl,
     Inr,
     Int,
     IntS,
-    List,
     ListS,
-    Map,
-    NatS,
+    LitS,
     Pair,
     ProdS,
     SumS,
@@ -41,13 +38,6 @@ from lenserv.values import (
     UnitS,
     encode_json,
 )
-
-
-def _counter():
-    c = const_of(IntS())
-    read = get_lens(UnitS(), c, IntS(), lambda st, u: st)
-    add = post_lens(IntS(), c, IntS(), lambda st, n, body: Int(st.i + n.i * body.i))
-    return ("peek" / read) & ("add" / add)
 
 
 # ------------------------------------------------------------------- prepare
@@ -74,13 +64,13 @@ def test_prepare_rejects_underivable_state():
 
 def test_prepare_rejects_nonconforming_initial_state():
     with pytest.raises(PrepareError):
-        prepare(_counter(), initial=Text("nope"))
+        prepare(counter(), initial=Text("nope"))
 
 
 def test_prepare_defaults_the_initial_state():
-    p = prepare(_counter())
+    p = prepare(counter())
     assert p.cell.snapshot() == Int(0)
-    p2 = prepare(_counter(), initial=Int(42))
+    p2 = prepare(counter(), initial=Int(42))
     assert p2.cell.snapshot() == Int(42)
 
 
@@ -95,7 +85,7 @@ def test_config_validation():
 
 
 def test_get_and_post_happy_path():
-    p = prepare(_counter(), initial=Int(10))
+    p = prepare(counter(), initial=Int(10))
     r = handle_get(p, "/peek")
     assert (r.status, r.body) == (200, "10")
     r = handle_post(p, "/add/3", "4")
@@ -105,7 +95,7 @@ def test_get_and_post_happy_path():
 
 
 def test_unknown_route_is_404():
-    p = prepare(_counter())
+    p = prepare(counter())
     r = handle_get(p, "/nope")
     assert r.status == 404
     assert "error" in json.loads(r.body)
@@ -124,7 +114,7 @@ def test_handler_domain_error_is_400():
 
 
 def test_bad_body_is_400_and_leaves_state_alone():
-    p = prepare(_counter(), initial=Int(5))
+    p = prepare(counter(), initial=Int(5))
     for body in ("true", '"x"', "[1,2]", "not json", "1.5", ""):
         r = handle_post(p, "/add/3", body)
         assert r.status == 400, body
@@ -206,195 +196,45 @@ def test_state_focused_through_a_parallel_lens_serves():
 
 
 def test_get_responses_drop_route_tags():
-    p = prepare(_counter(), initial=Int(9))
+    p = prepare(counter(), initial=Int(9))
     # /peek goes through a choice, but the payload is plain
     assert handle_get(p, "/peek").body == "9"
 
 
 _EITHER = SumS(IntS(), TextS())
 _SUM_STATE = "s" / state_server(const_of(_EITHER))
+_URI_SUM = SumS(ProdS(LitS("a"), UnitS()), ProdS(LitS("b"), UnitS()))
 
 
-@pytest.mark.parametrize("server, initial, path", [
-    (_SUM_STATE, Inr(Text("hi")), "/s"),
+@pytest.mark.parametrize("server, initial, path, body", [
+    (_SUM_STATE, Inr(Text("hi")), "/s", '{"R":"hi"}'),
     (_SUM_STATE + ("n" / state_server(const_of(IntS()))),
-     Pair(Inr(Text("hi")), Int(0)), "/s"),
+     Pair(Inr(Text("hi")), Int(0)), "/s", '{"R":"hi"}'),
     (("n" / get_lens(UnitS(), const_of(_EITHER), IntS(), lambda st, u: Int(0)))
      & ("e" / get_lens(UnitS(), const_of(_EITHER), _EITHER, lambda st, u: st)),
-     Inr(Text("hi")), "/e"),
-], ids=["alone", "under_ext_choice", "get_lens_under_clone_choice"])
-def test_get_keeps_the_tags_of_a_sum_payload(server, initial, path):
+     Inr(Text("hi")), "/e", '{"R":"hi"}'),
+    # the request's sum is the handler's own uri type, not a choice
+    ("k" / get_lens(_URI_SUM, const_of(IntS()), SumS(_URI_SUM, IntS()),
+                    lambda st, x: Inl(x)),
+     Int(0), "/k/a", '{"L":{"L":["a",null]}}'),
+], ids=["alone", "under_ext_choice", "get_lens_under_clone_choice",
+        "handler_uri_sum"])
+def test_get_keeps_the_tags_of_a_sum_payload(server, initial, path, body):
     # Only the tags of the choices the path went through are dropped.
     p = prepare(server, initial=initial)
-    assert handle_get(p, path).body == '{"R":"hi"}'
+    assert handle_get(p, path).body == body
 
 
 def test_post_to_a_read_only_route_answers_unit():
-    p = prepare(_counter(), initial=Int(3))
+    p = prepare(counter(), initial=Int(3))
     r = handle_post(p, "/peek", "null")
     assert (r.status, r.body) == (200, "null")
     assert p.cell.snapshot() == Int(3)
 
 
 def test_get_never_changes_state():
-    p = prepare(_counter(), initial=Int(12))
+    p = prepare(counter(), initial=Int(12))
     before = encode_json(p.cell.snapshot())
     for path in ("/peek", "/add/3", "/nope", "/peek/"):
         handle_get(p, path)
     assert encode_json(p.cell.snapshot()) == before
-
-
-# ------------------------------------------------------------------- sockets
-
-
-def test_http_roundtrip_and_keep_alive():
-    with running(_counter(), initial=Int(100)) as (p, client):
-        # two requests on one connection
-        assert client.get("/peek") == (200, "100")
-        assert client.post("/add/2", "5") == (200, "null")
-        assert client.get("/peek") == (200, "110")
-
-
-def test_http_trailing_slash_and_query_strings():
-    with running(_counter(), initial=Int(7)) as (p, client):
-        assert client.get("/peek/") == (200, "7")
-        assert client.get("/peek?verbose=1") == (200, "7")
-        assert client.get("/peek/?a=b&c=d") == (200, "7")
-
-
-def test_http_404_and_405():
-    with running(_counter()) as (p, client):
-        status, body = client.get("/missing")
-        assert status == 404
-        for method in ("PUT", "DELETE", "PATCH", "OPTIONS"):
-            status, body = client.request(method, "/peek")
-            assert status == 405, method
-            assert "error" in json.loads(body)
-        status, body = client.request("HEAD", "/peek")
-        assert status == 405
-        assert body == ""  # HEAD answers carry no body
-
-
-def test_http_get_with_a_body_ignores_it():
-    with running(_counter(), initial=Int(1)) as (p, client):
-        status, body = client.request("GET", "/peek", body="[1,2,3]")
-        assert (status, body) == (200, "1")
-
-
-def test_http_bad_utf8_body_is_400():
-    with running(_counter()) as (p, client):
-        client.conn.request("POST", "/add/1", body=b"\xff\xfe")
-        r = client.conn.getresponse()
-        assert r.status == 400
-        r.read()
-
-
-def test_http_oversized_body_is_413():
-    srv = _counter()
-    port = free_port()
-    cfg = EngineConfig(port=port)
-    from lenserv.engine import serve_background
-
-    p = prepare(srv, cfg)
-    httpd = serve_background(p)
-    try:
-        # Announce one byte over the limit and send none of it; the
-        # engine must refuse from the headers alone.
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
-            s.sendall(
-                b"POST /add/1 HTTP/1.1\r\n"
-                b"Host: test\r\n"
-                b"Content-Type: application/json\r\n"
-                b"Content-Length: %d\r\n"
-                b"\r\n" % (MAX_BODY_BYTES + 1)
-            )
-            s.settimeout(10)
-            head = s.recv(4096).decode("utf-8", "replace")
-        assert "413" in head.split("\r\n")[0]
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-
-
-def test_http_body_within_limit_is_served():
-    srv = _counter()
-    cfg = EngineConfig(port=free_port())
-    from lenserv.engine import serve_background
-
-    p = prepare(srv, cfg)
-    httpd = serve_background(p)
-    try:
-        from conftest import Client
-
-        c = Client(cfg.port)
-        body = " " * (MAX_BODY_BYTES - 1) + "7"   # JSON allows leading spaces
-        assert c.post("/add/1", body) == (200, "null")
-        c.close()
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-
-
-def _exchange(port: int, request: bytes) -> bytes:
-    """Send raw bytes and read until the server hangs up.  A short
-    timeout turns a worker stuck on the request into a test failure."""
-    with socket.create_connection(("127.0.0.1", port), timeout=3) as s:
-        s.sendall(request)
-        out = b""
-        while chunk := s.recv(4096):
-            out += chunk
-    return out
-
-
-def _json_error(response: bytes, status: int) -> dict:
-    head, _, body = response.partition(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    assert lines[0].split()[1] == str(status), response
-    assert "content-type: application/json" in (line.lower() for line in lines)
-    assert "connection: close" in (line.lower() for line in lines)
-    return json.loads(body)
-
-
-@pytest.mark.parametrize("length_headers", [
-    b"Content-Length: -1\r\n",
-    b"Content-Length: abc\r\n",
-    b"Content-Length: 1_0\r\n",
-    b"Content-Length: 1\r\nContent-Length: 2\r\n",
-], ids=["negative", "non_integer", "underscored", "conflicting"])
-def test_http_bad_content_length_is_400_and_closes(length_headers):
-    # The bytes after the headers would parse as a second request; a
-    # server that guessed the body length would answer it too.
-    with running(_counter(), initial=Int(1)) as (p, client):
-        response = _exchange(
-            p.config.port,
-            b"POST /add/1 HTTP/1.1\r\nHost: test\r\n" + length_headers + b"\r\n"
-            b"GET /peek HTTP/1.1\r\nHost: test\r\n\r\n")
-        assert "error" in _json_error(response, 400)
-        assert response.count(b"HTTP/1.1 ") == 1
-        assert p.cell.snapshot() == Int(1)
-
-
-@pytest.mark.parametrize("request_bytes,status", [
-    (b"GARBAGE\r\n\r\n", 400),
-    (b"GET /peek HTTP/2.0\r\n\r\n", 505),
-    (b"GET /peek HTTP/1.1\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n", 431),
-], ids=["bad_request_line", "bad_version", "oversized_header"])
-def test_http_stdlib_framing_errors_answer_json(request_bytes, status):
-    with running(_counter()) as (p, client):
-        response = _exchange(p.config.port, request_bytes)
-        assert b"<!DOCTYPE" not in response
-        assert "error" in _json_error(response, status)
-
-
-@pytest.mark.parametrize("length_header", [b"", b"Content-Length: 1\r\n"],
-                         ids=["chunked", "chunked_with_length"])
-def test_http_transfer_encoding_is_501_and_closes(length_header):
-    # Read as raw bytes, the chunk lines would parse as a second request.
-    with running(_counter(), initial=Int(1)) as (p, client):
-        response = _exchange(
-            p.config.port,
-            b"POST /add/1 HTTP/1.1\r\nHost: test\r\n" + length_header
-            + b"Transfer-Encoding: chunked\r\n\r\n1\r\n5\r\n0\r\n\r\n")
-        assert "error" in _json_error(response, 501)
-        assert response.count(b"HTTP/1.1 ") == 1
-        assert p.cell.snapshot() == Int(1)

@@ -1,0 +1,151 @@
+"""The README's HTTP contract as one table of raw exchanges, each sent
+in one ``sendall`` to a fresh engine serving ``conftest.counter`` from
+state 7.  A server that hangs up on its own says ``Connection: close``
+and sends nothing more; a kept connection stays open and quiet."""
+
+import io
+import json
+import socket
+from http.client import HTTPResponse
+from typing import NamedTuple
+
+import pytest
+
+from conftest import counter, free_port
+from lenserv import engine
+from lenserv.engine import MAX_BODY_BYTES, EngineConfig, prepare, serve_background
+from lenserv.values import Int
+
+ERROR = object()  # any {"error": "<text>"} body
+LENGTH = b"Content-Length: %d\r\n"
+
+
+class Row(NamedTuple):
+    id: str
+    request: bytes
+    answers: list  # (status, exact body or ERROR) per answer
+    closes: bool = False
+    unchanged: bool = True
+    half_close: bool = False
+
+
+def req(start: bytes, head: bytes = b"", body: bytes = b"") -> bytes:
+    """``start`` is the method and path; ``head`` holds header lines."""
+    return start + b" HTTP/1.1\r\nHost: t\r\n" + head + b"\r\n" + body
+
+
+def post(path: bytes, body: bytes, head: bytes = b"") -> bytes:
+    return req(b"POST " + path, head + LENGTH % len(body), body)
+
+
+PEEK = req(b"GET /peek")
+SMUGGLED = post(b"/add/1", b"9")  # moves the state if read as a request
+SMUGGLED_LENGTH = LENGTH % len(SMUGGLED)
+CHUNKED, CHUNKS = b"Transfer-Encoding: chunked\r\n", b"1\r\n5\r\n0\r\n\r\n"
+SHORT_BODY = req(b"POST /add/1", LENGTH % 5, b"4")
+LINE = b"GET /%s HTTP/1.1\r\n"  # a request line of len(path) + 16 bytes
+BIG = b"X-Big: %s\r\n"  # a header line of len(value) + 9 bytes
+
+ROWS = [
+    Row("keep_alive", PEEK + post(b"/add/2", b"5") + PEEK,
+        [(200, "7"), (200, "null"), (200, "17")], unchanged=False),
+    Row("pipelined_in_order", req(b"GET /missing") + req(b"PUT /peek") + post(b"/add/1", b"3")
+        + PEEK, [(404, ERROR), (405, ERROR), (200, "null"), (200, "10")], unchanged=False),
+    Row("trailing_slash", req(b"GET /peek/"), [(200, "7")]),
+    Row("query_string", req(b"GET /peek?verbose=1"), [(200, "7")]),
+    Row("trailing_slash_and_query", req(b"GET /peek/?a=b&c=d"), [(200, "7")]),
+    Row("no_route_404", req(b"GET /missing"), [(404, ERROR)]),
+    *(Row(m.lower() + "_405", req(m.encode() + b" /peek"), [(405, ERROR)])
+      for m in ("PUT", "DELETE", "PATCH", "OPTIONS")),
+    Row("head_405_no_body", req(b"HEAD /peek"), [(405, "")]),
+    Row("get_with_a_body", req(b"GET /peek", LENGTH % 7, b"[1,2,3]"), [(200, "7")]),
+    Row("bad_utf8_body", post(b"/add/1", b"\xff\xfe"), [(400, ERROR)]),
+    Row("raw_bad_utf8_path", req(b"GET /peek\xff"), [(404, ERROR)]),
+    Row("percent_bad_utf8_path", req(b"GET /peek%FF"), [(404, ERROR)]),
+    Row("body_at_limit", post(b"/add/1", b" " * (MAX_BODY_BYTES - 1) + b"7") + PEEK,
+        [(200, "null"), (200, "14")], unchanged=False),
+    Row("body_over_limit_413", req(b"POST /add/1", LENGTH % (MAX_BODY_BYTES + 1)),
+        [(413, ERROR)], closes=True),
+    *(Row("content_length_" + name, req(b"POST /add/1", b"Content-Length: %s\r\n" % v) + PEEK,
+          [(400, ERROR)], closes=True)
+      for name, v in [("negative", b"-1"), ("non_integer", b"abc"), ("underscored", b"1_0"),
+                      ("conflicting", b"1\r\nContent-Length: 2")]),
+    *(Row(name, req(b"POST /add/1", head + CHUNKED, CHUNKS), [(501, ERROR)], closes=True)
+      for name, head in [("chunked", b""), ("chunked_with_length", b"Content-Length: 1\r\n")]),
+    Row("bad_request_line", b"GARBAGE\r\n\r\n", [(400, ERROR)], closes=True),
+    Row("bad_version", b"GET /peek HTTP/2.0\r\n\r\n", [(505, ERROR)], closes=True),
+    Row("oversized_header", req(b"GET /peek", BIG % (b"a" * 70000)), [(431, ERROR)], closes=True),
+    Row("header_line_at_limit", req(b"GET /peek", BIG % (b"a" * 65527)), [(200, "7")]),
+    Row("header_line_over_limit", req(b"GET /peek", BIG % (b"a" * 65528)), [(431, ERROR)],
+        closes=True),
+    Row("too_many_headers", req(b"GET /peek", b"X: 1\r\n" * 100), [(431, ERROR)], closes=True),
+    Row("request_line_at_limit", LINE % (b"a" * 65520) + b"\r\n", [(404, ERROR)]),
+    Row("request_line_over_limit", LINE % (b"a" * 65521), [(414, ERROR)], closes=True),
+    Row("no_colon_then_chunked", req(b"POST /add/1", b"nocolon\r\n" + CHUNKED, CHUNKS),
+        [(400, ERROR)], closes=True),
+    *(Row(name, req(b"POST /add/1", head) + SMUGGLED, [(400, ERROR)], closes=True)
+      for name, head in [("no_colon_header", b"nocolon\r\n" + SMUGGLED_LENGTH),
+                         ("space_before_colon", SMUGGLED_LENGTH.replace(b":", b" :")),
+                         ("obs_fold", b"X-Note: 1\r\n " + SMUGGLED_LENGTH)]),
+    Row("continuation_first", b"POST /add/1 HTTP/1.1\r\n " + SMUGGLED_LENGTH
+        + b"Host: t\r\n\r\n" + SMUGGLED, [(400, ERROR)], closes=True),
+    Row("half_close_after_request", post(b"/add/1", b"2") + PEEK,
+        [(200, "null"), (200, "9")], unchanged=False, half_close=True),
+    Row("half_close_mid_body", SHORT_BODY, [(400, ERROR)], closes=True, half_close=True),
+    Row("stalled_body", SHORT_BODY, [(408, ERROR)], closes=True),
+    Row("half_sent_header", b"GET /peek HTTP/1.1\r\nHost: te", [], closes=True),
+    Row("http_1_0", b"GET /peek HTTP/1.0\r\n\r\n" + PEEK, [(200, "7")], closes=True),
+    Row("connection_close", req(b"GET /peek", b"Connection: close\r\n") + PEEK, [(200, "7")],
+        closes=True),
+    Row("expect_100_continue", post(b"/add/1", b"2", b"Expect: 100-continue\r\n") + PEEK,
+        [(200, "null"), (200, "9")], unchanged=False),
+]
+
+
+class _Answers(io.BufferedReader):
+    """One buffer for all the answers on a socket, which no HTTPResponse may close."""
+
+    def makefile(self, mode):
+        return self
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def served(monkeypatch):
+    monkeypatch.setattr(engine, "IDLE_TIMEOUT_S", 1)
+    p = prepare(counter(), EngineConfig(port=free_port()), initial=Int(7))
+    httpd = serve_background(p)
+    yield p
+    httpd.shutdown()
+    httpd.server_close()
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
+def test_contract(served, row):
+    before = served.cell.snapshot()
+    with socket.create_connection(("127.0.0.1", served.config.port), timeout=5) as s:
+        s.sendall(row.request)
+        if row.half_close:
+            s.shutdown(socket.SHUT_WR)
+        answers = _Answers(socket.SocketIO(s, "rb"))
+        for status, body in row.answers:
+            r = HTTPResponse(answers, method=row.request.split(b" ", 1)[0].decode())
+            r.begin()
+            got = r.read().decode("utf-8")
+            assert (r.status, r.getheader("Content-Type")) == (status, "application/json")
+            if body is ERROR:
+                (key, text), = json.loads(got).items()
+                assert key == "error" and isinstance(text, str)
+            else:
+                assert got == body
+        if row.answers:
+            assert (r.getheader("Connection") == "close") == row.closes
+        if row.closes or row.half_close:
+            assert answers.read() == b""  # hung up, with nothing more
+        else:
+            s.settimeout(0.05)
+            with pytest.raises(TimeoutError):  # open, and nothing more
+                answers.read1(1)
+    assert (served.cell.snapshot() == before) == row.unchanged
