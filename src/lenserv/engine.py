@@ -150,12 +150,7 @@ def _strip_route_tags(schema, right, x: Value, y: Value) -> Value:
 
 def _route(p: PreparedServer, path: str) -> Value | None:
     segments = split_path(path)
-    if segments is None:
-        return None
-    out = p.parser.run(segments, 0)
-    if out is None or out[1] != len(segments):
-        return None
-    return out[0]
+    return None if segments is None else p.parser.parse(segments)
 
 
 def handle_get(p: PreparedServer, path: str) -> HttpResponse:

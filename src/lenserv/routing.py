@@ -1,17 +1,25 @@
-"""Request paths as parsers derived from schemas.
+"""Request paths as grammars derived from schemas.
 
 A schema built from unit, literals, scalar captures, products, and sums
 reads as a path grammar: products sequence segments, sums are ordered
 alternatives, literals match themselves, and Int/Nat/Text/Bool each
-match one typed segment.  ``parse_uri`` turns a path into the schema's
-value; ``render_uri`` goes the other way.
+match one typed segment.  ``parser_for`` derives the grammar once, and
+each schema kind defines three things side by side: how it matches
+segments (``run``), how a value renders back to segments (``render``),
+and its alternatives as ``describe_routes`` lists them (``routes``).
+``parse_uri`` turns a path into the schema's value; ``render_uri`` goes
+the other way.
 
 Matching is deterministic: an alternative commits to the first branch
 that matches locally, and the whole parse succeeds only when every
 segment is consumed.  Segments are percent-decoded before matching, and
-one trailing slash is ignored.
+one trailing slash is ignored.  A path with a character outside ASCII
+or an escape that is not UTF-8 matches nothing: decoding it would
+replace bytes with U+FFFD, or read raw bytes as Latin-1, and so capture
+the same text as some well-formed path.
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -35,44 +43,42 @@ class NotRoutable(Exception):
 
 @dataclass(frozen=True)
 class UriParser:
-    """A schema and a matcher: ``run(segments, cursor)`` returns the
-    parsed value with the new cursor, or None."""
+    """A schema's path grammar.  ``run(segments, cursor)`` returns the
+    parsed value with the new cursor, or None; ``render(value)`` returns
+    a conforming value's segments; ``routes`` holds one tuple per
+    alternative of ``("lit", text)`` and ``("cap", kind)`` parts."""
 
     schema: Schema
     run: Callable[[list, int], tuple | None]
+    render: Callable[[Value], list] | None = None
+    routes: tuple = ()
+
+    def parse(self, segments: list) -> Value | None:
+        """The value of the whole of ``segments``, or None."""
+        out = self.run(segments, 0)
+        if out is None or out[1] != len(segments):
+            return None
+        return out[0]
 
 
-def _segment_parser(s: Schema, match: Callable[[str], Value | None]) -> UriParser:
+def _segment(s: Schema, match: Callable[[str], Value | None],
+             render: Callable[[Value], str], part: tuple) -> UriParser:
     def run(segments, i):
         if i >= len(segments):
             return None
         v = match(segments[i])
         return None if v is None else (v, i + 1)
-    return UriParser(s, run)
+
+    def render_one(v):
+        seg = render(v)
+        if not seg:
+            raise ValueError(f"an empty {s!r} capture has no path segment")
+        return [seg]
+    return UriParser(s, run, render_one, ((part,),))
 
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _NAT_RE = re.compile(r"[0-9]+\Z")
-
-
-def _match_int(seg: str):
-    return Int(int(seg)) if _INT_RE.match(seg) else None
-
-
-def _match_nat(seg: str):
-    return Nat(int(seg)) if _NAT_RE.match(seg) else None
-
-
-def _match_bool(seg: str):
-    if seg == "true":
-        return Bool(True)
-    if seg == "false":
-        return Bool(False)
-    return None
-
-
-def _match_text(seg: str):
-    return Text(seg) if seg else None
 
 
 def seq_parser(a: UriParser, b: UriParser) -> UriParser:
@@ -85,7 +91,9 @@ def seq_parser(a: UriParser, b: UriParser) -> UriParser:
         if rb is None:
             return None
         return Pair(ra[0], rb[0]), rb[1]
-    return UriParser(ProdS(a.schema, b.schema), run)
+    return UriParser(ProdS(a.schema, b.schema), run,
+                     lambda v: a.render(v.first) + b.render(v.second),
+                     tuple(x + y for x in a.routes for y in b.routes))
 
 
 def alt_parser(a: UriParser, b: UriParser) -> UriParser:
@@ -99,24 +107,31 @@ def alt_parser(a: UriParser, b: UriParser) -> UriParser:
         if rb is not None:
             return Inr(rb[0]), rb[1]
         return None
-    return UriParser(SumS(a.schema, b.schema), run)
+    return UriParser(SumS(a.schema, b.schema), run,
+                     lambda v: (a if isinstance(v, Inl) else b).render(v.value),
+                     a.routes + b.routes)
 
 
 def parser_for(s: Schema) -> UriParser:
-    """Derive the path parser of a schema, or raise NotRoutable."""
+    """Derive the path grammar of a schema, or raise NotRoutable."""
     if isinstance(s, UnitS):
-        return UriParser(s, lambda segments, i: (Unit(), i))
+        return UriParser(s, lambda segments, i: (Unit(), i), lambda v: [], ((),))
     if isinstance(s, LitS):
         lit = s.lit
-        return _segment_parser(s, lambda seg: Text(seg) if seg == lit else None)
-    if isinstance(s, IntS):
-        return _segment_parser(s, _match_int)
-    if isinstance(s, NatS):
-        return _segment_parser(s, _match_nat)
-    if isinstance(s, BoolS):
-        return _segment_parser(s, _match_bool)
+        return _segment(s, lambda seg: Text(seg) if seg == lit else None,
+                        lambda v: v.s, ("lit", lit))
     if isinstance(s, TextS):
-        return _segment_parser(s, _match_text)
+        return _segment(s, lambda seg: Text(seg) if seg else None,
+                        lambda v: v.s, ("cap", "Text"))
+    if isinstance(s, IntS):
+        return _segment(s, lambda seg: Int(int(seg)) if _INT_RE.match(seg) else None,
+                        lambda v: str(v.i), ("cap", "Int"))
+    if isinstance(s, NatS):
+        return _segment(s, lambda seg: Nat(int(seg)) if _NAT_RE.match(seg) else None,
+                        lambda v: str(v.n), ("cap", "Nat"))
+    if isinstance(s, BoolS):
+        return _segment(s, lambda seg: Bool(seg == "true") if seg in ("true", "false") else None,
+                        lambda v: "true" if v.b else "false", ("cap", "Bool"))
     if isinstance(s, ProdS):
         return seq_parser(parser_for(s.left), parser_for(s.right))
     if isinstance(s, SumS):
@@ -128,15 +143,19 @@ def parser_for(s: Schema) -> UriParser:
 
 def split_path(path: str) -> list | None:
     """Split a request path into decoded segments, or None when the
-    path is not even path-shaped (no leading slash)."""
-    if not path.startswith("/"):
+    path is not path-shaped: no leading slash, a character outside
+    ASCII, or a percent-escape that is not UTF-8."""
+    if not path.startswith("/") or not path.isascii():
         return None
     if len(path) > 1 and path.endswith("/"):
         path = path[:-1]
     rest = path[1:]
     if not rest:
         return []
-    return [unquote(seg) for seg in rest.split("/")]
+    try:
+        return [unquote(seg, errors="strict") for seg in rest.split("/")]
+    except UnicodeDecodeError:
+        return None
 
 
 def parse_uri(s: Schema, path: str) -> Value | None:
@@ -149,12 +168,7 @@ def parse_uri(s: Schema, path: str) -> Value | None:
     """
     parser = parser_for(s)
     segments = split_path(path)
-    if segments is None:
-        return None
-    out = parser.run(segments, 0)
-    if out is None or out[1] != len(segments):
-        return None
-    return out[0]
+    return None if segments is None else parser.parse(segments)
 
 
 def render_uri(s: Schema, v: Value) -> str:
@@ -164,68 +178,15 @@ def render_uri(s: Schema, v: Value) -> str:
     or one with an empty text capture."""
     if not conforms(s, v):
         raise ValueError(f"{v!r} does not conform to {s!r}")
-    segments = _render(s, v)
-    if not segments:
-        return "/"
-    return "/" + "/".join(quote(seg, safe="") for seg in segments)
-
-
-def _render(s: Schema, v: Value) -> list:
-    if isinstance(s, UnitS):
-        return []
-    if isinstance(s, (LitS, TextS)):
-        if not v.s:
-            raise ValueError(f"an empty {s!r} capture has no path segment")
-        return [v.s]
-    if isinstance(s, IntS):
-        return [str(v.i)]
-    if isinstance(s, NatS):
-        return [str(v.n)]
-    if isinstance(s, BoolS):
-        return ["true" if v.b else "false"]
-    if isinstance(s, ProdS):
-        return _render(s.left, v.first) + _render(s.right, v.second)
-    if isinstance(s, SumS):
-        if isinstance(v, Inl):
-            return _render(s.left, v.value)
-        return _render(s.right, v.value)
-    raise NotRoutable(f"{s!r} has no path grammar")
+    return "/" + "/".join(quote(seg, safe="") for seg in parser_for(s).render(v))
 
 
 def describe_routes(s: Schema) -> list:
     """One pattern string per alternative of the path grammar, with
     captures numbered left to right within each pattern."""
     routes = []
-    for alt in _alternatives(s):
-        n = 0
-        parts = []
-        for kind, text in alt:
-            if kind == "cap":
-                n += 1
-                parts.append(f"{text}:n{n}")
-            else:
-                parts.append(text)
-        routes.append("/" + "/".join(parts) if parts else "/")
+    for alt in parser_for(s).routes:
+        n = itertools.count(1)
+        routes.append("/" + "/".join(text if kind == "lit" else f"{text}:n{next(n)}"
+                                     for kind, text in alt))
     return routes
-
-
-def _alternatives(s: Schema) -> list:
-    if isinstance(s, UnitS):
-        return [[]]
-    if isinstance(s, LitS):
-        return [[("lit", s.lit)]]
-    if isinstance(s, IntS):
-        return [[("cap", "Int")]]
-    if isinstance(s, NatS):
-        return [[("cap", "Nat")]]
-    if isinstance(s, BoolS):
-        return [[("cap", "Bool")]]
-    if isinstance(s, TextS):
-        return [[("cap", "Text")]]
-    if isinstance(s, ProdS):
-        return [a + b
-                for a in _alternatives(s.left)
-                for b in _alternatives(s.right)]
-    if isinstance(s, SumS):
-        return _alternatives(s.left) + _alternatives(s.right)
-    raise NotRoutable(f"{s!r} has no path grammar")

@@ -102,6 +102,21 @@ def test_unknown_route_is_404():
     assert handle_post(p, "/peek/extra", "1").status == 404
 
 
+@pytest.mark.parametrize("path, status, body", [
+    ("/t/%EF%BF%BD", 200, '"\ufffd"'),
+    ("/t/%C3%BF", 200, '"\u00ff"'),
+    ("/t/%FF", 404, None),     # an escape that is not UTF-8
+    ("/t/\xff", 404, None),    # a raw 0xFF byte, as http.server reads it (Latin-1)
+    ("/t/\xc3\xa9", 404, None),  # a raw UTF-8 "\u00e9", read the same way
+])
+def test_only_well_formed_paths_capture_text(path, status, body):
+    p = prepare("t" / get_lens(TextS(), const_of(UnitS()), TextS(), lambda st, u: u))
+    r = handle_get(p, path)
+    assert r.status == status
+    if body is not None:
+        assert json.loads(r.body) == json.loads(body)
+
+
 def test_handler_domain_error_is_400():
     def moody(st, u):
         raise HandlerError("not today")

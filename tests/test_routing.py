@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from generators import route_like, route_value
+from generators import random_server, route_like, route_value
 from lenserv.routing import (
     NotRoutable,
     alt_parser,
@@ -11,6 +12,7 @@ from lenserv.routing import (
     parser_for,
     render_uri,
     seq_parser,
+    split_path,
 )
 from lenserv.values import (
     Bool,
@@ -92,6 +94,20 @@ def test_trailing_slash_and_percent_decoding():
     assert parse_uri(TextS(), "/a%2Fb") == Text("a/b")
 
 
+def test_split_path_refuses_what_it_cannot_decode_exactly():
+    # Decoding these would give the same text as some other path:
+    # U+FFFD for a bad escape, Latin-1 text for raw bytes.
+    assert split_path("/t/%FF") is None
+    assert split_path("/t/a%C3") is None
+    assert split_path("/t/\xff") is None
+    assert split_path("/t/\xc3\xa9") is None
+    assert split_path("/caf\u00e9") is None
+    assert split_path("/t/%EF%BF%BD") == ["t", "\ufffd"]
+    assert split_path("/t/%C3%BF") == ["t", "\u00ff"]
+    assert split_path("/caf%C3%A9") == ["caf\u00e9"]
+    assert split_path("/100%") == ["100%"]
+
+
 def test_parsing_is_deterministic():
     s = SumS(ProdS(LitS("a"), IntS()), ProdS(LitS("a"), TextS()))
     for _ in range(5):
@@ -168,3 +184,54 @@ def test_describe_routes():
     assert describe_routes(ProdS(LitS("x"), NatS())) == ["/x/Nat:n1"]
     with pytest.raises(NotRoutable):
         describe_routes(ListS(IntS()))
+
+
+def _count(s):
+    # How many alternatives a grammar has, read off the schema alone.
+    if isinstance(s, ProdS):
+        return _count(s.left) * _count(s.right)
+    if isinstance(s, SumS):
+        return _count(s.left) + _count(s.right)
+    return 1
+
+
+def _index(s, v):
+    # Which alternative the Inl/Inr tags of ``v`` select, in the order
+    # of a product's alternatives spelled left to right.
+    if isinstance(s, ProdS):
+        return _index(s.left, v.first) * _count(s.right) + _index(s.right, v.second)
+    if isinstance(s, SumS):
+        if isinstance(v, Inl):
+            return _index(s.left, v.value)
+        return _count(s.left) + _index(s.right, v.value)
+    return 0
+
+
+CAPTURE = re.compile(r"(Int|Nat|Bool|Text):n([0-9]+)")
+KINDS = {"Int": IntS(), "Nat": NatS(), "Bool": BoolS(), "Text": TextS()}
+
+
+def test_the_route_listing_agrees_with_parse_and_render():
+    # A rendered value matches the pattern its tags select: each literal
+    # by itself, each capture as a segment of its kind.
+    rng = random.Random(41)
+    schemas = [route_like(rng) for _ in range(300)]
+    schemas += [random_server(random.Random(seed)).server.left.shape for seed in range(64)]
+    for s in schemas:
+        routes = describe_routes(s)
+        assert len(routes) == _count(s), s
+        v = route_value(s, rng)
+        path = render_uri(s, v)
+        pattern = routes[_index(s, v)]
+        segments = split_path(path)
+        parts = pattern.split("/")[1:] if pattern != "/" else []
+        assert len(segments) == len(parts), (path, pattern)
+        captures = 0
+        for seg, part in zip(segments, parts):
+            cap = CAPTURE.fullmatch(part)
+            if cap is None:
+                assert seg == part, (path, pattern)
+                continue
+            captures += 1
+            assert cap[2] == str(captures), pattern
+            assert parser_for(KINDS[cap[1]]).parse([seg]) is not None, (path, pattern)
