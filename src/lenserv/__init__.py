@@ -30,7 +30,7 @@ from .lens import (
     check_laws,
 )
 from .containers import (
-    Container, const_of, unit_positions, pinned, product, coproduct,
+    Container, const_of, unit_positions, keyed, pinned, product, coproduct,
     tensor, agree,
 )
 from .deplens import DepLens, BoundaryMismatch, dep_identity, dep_compose, dep_parallel
@@ -44,8 +44,8 @@ from .routing import (
     render_uri, describe_routes,
 )
 from .state import (
-    ActionFamily, ActionDerivationError, StateContractError, derive_action,
-    initial_state, StateCell,
+    ActionDerivationError, StateContractError, derive_action, initial_state,
+    StateCell,
 )
 from .engine import (
     EngineConfig, MAX_BODY_BYTES, IDLE_TIMEOUT_S, HttpResponse, PrepareError,

@@ -12,6 +12,9 @@ whole server algebra:
 * ``tensor``     - both shapes; both positions
 * ``pinned``     - positions ignore the shape value entirely
 
+State is pinned: a diff replaces the value (``const_of``), changes
+nothing (``unit_positions``) or stores one map entry (``keyed``).
+
 Containers built from these combinators carry a structural description
 (``form``), which later layers use to compare containers, derive state
 update actions, and pick default values.  Hand-rolled containers have
@@ -24,12 +27,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .values import (
-    Inl, Inr, ProdS, Schema, SumS, UnitS, Value, generate_value,
+    Inl, Inr, MapS, ProdS, Schema, SumS, UnitS, Value, generate_value,
 )
 
 
 __all__ = [
-    "Container", "const_of", "unit_positions", "pinned", "product",
+    "Container", "const_of", "unit_positions", "keyed", "pinned", "product",
     "coproduct", "tensor", "agree",
 ]
 
@@ -64,6 +67,13 @@ def unit_positions(s: Schema) -> Container:
     """Shape ``s`` with the trivial position everywhere: nothing flows
     backward at any point."""
     return pinned(s, UnitS())
+
+
+def keyed(key: Schema, val: Schema) -> Container:
+    """A map from ``key`` to ``val`` whose diffs name one entry:
+    ``Inl(Unit())`` changes nothing and ``Inr(Pair(k, v))`` stores ``v``
+    at ``k``.  A diff costs one entry however large the map grows."""
+    return pinned(MapS(key, val), SumS(UnitS(), ProdS(key, val)))
 
 
 def product(a: Container, b: Container) -> Container:

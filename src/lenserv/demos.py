@@ -5,18 +5,18 @@ composition.
   state
 * iot: one boolean state tree (boiler, two lights) exposed through
   lens-focused endpoints; POST to a leaf rewrites just that leaf
-* todo: a per-user todo store keyed by user id
+* todo: per-user todo lists in keyed state; a POST's diff is one entry
 * combined: all three mounted side by side; each keeps its own state
 
 ``DEMOS`` maps the names the command line accepts to builders.
 """
 
-from .containers import const_of
+from .containers import const_of, keyed
 from .lens import fst_lens, snd_lens
 from .servers import HandlerError, Server, get_lens, post_lens, state_server
 from .values import (
-    BoolS, Int, IntS, List, ListS, MapS, NatS, ProdS, TextS, UnitS,
-    map_insert, map_lookup,
+    BoolS, Inr, Int, IntS, List, ListS, NatS, Pair, ProdS, TextS, UnitS,
+    map_lookup,
 )
 
 
@@ -65,7 +65,7 @@ def build_iot() -> Server:
 def build_todo() -> Server:
     """Todos per user id: GET /all/<user> lists, POST /add/<user>
     prepends the body text to that user's list."""
-    store = const_of(MapS(NatS(), ListS(TextS())))
+    store = keyed(NatS(), ListS(TextS()))
     empty = List(())
 
     def todos_of(st, user):
@@ -73,7 +73,7 @@ def build_todo() -> Server:
 
     def add_todo(st, user, item):
         current = map_lookup(st, user, empty)
-        return map_insert(st, user, List((item,) + current.items))
+        return Inr(Pair(user, List((item,) + current.items)))
 
     get_todos = "all" / get_lens(NatS(), store, ListS(TextS()), todos_of)
     post_todo = "add" / post_lens(NatS(), store, TextS(), add_todo)

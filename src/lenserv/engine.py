@@ -38,10 +38,7 @@ from time import perf_counter
 
 from .routing import NotRoutable, UriParser, parser_for, split_path
 from .servers import HandlerError, Server
-from .state import (
-    ActionDerivationError, StateCell, StateContractError, derive_action,
-    initial_state,
-)
+from .state import ActionDerivationError, StateCell, StateContractError, initial_state
 from .values import (
     DecodeError, Inl, LitS, Pair, ProdS, SumS, Value, conforms, decode_json,
     encode_json,
@@ -109,13 +106,11 @@ def prepare(server: Server, config: EngineConfig | None = None,
         parser = parser_for(server.left.shape)
     except NotRoutable as exc:
         raise PrepareError(f"request schema is not routable: {exc}") from None
-    try:
-        action = derive_action(server.param)
-    except ActionDerivationError as exc:
-        raise PrepareError(f"state has no update action: {exc}") from None
     init = initial if initial is not None else initial_state(server.param)
     try:
-        cell = StateCell(server.param, action, init)
+        cell = StateCell(server.param, init)
+    except ActionDerivationError as exc:
+        raise PrepareError(f"state has no update action: {exc}") from None
     except StateContractError as exc:
         raise PrepareError(str(exc)) from None
     return PreparedServer(server, parser, cell, config)

@@ -30,6 +30,9 @@ every other combinator is ``dep_compose`` / ``dep_parallel`` over
 identities and small adapters, so the backward threading lives in
 ``deplens`` alone, and so does the one ``BoundaryMismatch`` check.
 
+``get_lens`` and ``post_lens`` take const or keyed state; a
+``post_lens`` handler returns the whole new value or one map entry.
+
 Handlers written for ``get_lens`` / ``post_lens`` signal domain
 failures (division by zero, missing key) by raising ``HandlerError``;
 the HTTP engine turns that into a 400 response.
@@ -38,11 +41,12 @@ the HTTP engine turns that into a 400 response.
 from dataclasses import dataclass
 
 from .containers import (
-    Container, const_of, coproduct, pinned, product, tensor, unit_positions,
+    Container, const_of, coproduct, keyed, pinned, product, tensor,
+    unit_positions,
 )
 from .deplens import DepLens, dep_identity
 from .values import (
-    BoolS, Inl, Inr, IntS, NatS, Pair, ProdS, Schema, TextS, LitS, Unit,
+    BoolS, Inl, Inr, IntS, MapS, NatS, Pair, ProdS, Schema, TextS, LitS, Unit,
     UnitS,
 )
 
@@ -216,34 +220,43 @@ def state_server(c: Container) -> Server:
     return _server(const_of(UnitS()), c, c, lambda v: v.second, update)
 
 
-def _require_const_state(state: Container, who: str) -> None:
-    if state.form is None or state.form[0] != "pinned" or state.form[1] != state.shape:
-        raise ValueError(
-            f"{who} needs a const state container (positions = shape everywhere), "
-            f"got {state!r}")
+def _no_change(state: Container, who: str):
+    """``st -> the diff that leaves st as it is``: the state itself for
+    a const container, ``Inl(Unit())`` for a keyed one.  Any other
+    state container raises ``ValueError``."""
+    shape = state.shape
+    if state.form == ("pinned", shape):
+        return lambda st: st
+    if isinstance(shape, MapS) and state.form == keyed(shape.key, shape.val).form:
+        return lambda st: Inl(Unit())
+    raise ValueError(
+        f"{who} needs a const or keyed state container, got {state!r}")
 
 
 def get_lens(uri: Schema, state: Container, resp: Schema, handler) -> Server:
     """A read-only endpoint.  ``handler(state_value, uri_value)``
     computes the response; the state is never changed (a POST to this
-    endpoint carries a trivial body and writes the state back as-is).
+    endpoint carries a trivial body and commits the diff that changes
+    nothing).  ``state`` is const or keyed.
     """
-    _require_const_state(state, "get_lens")
+    unchanged = _no_change(state, "get_lens")
 
     def view(v):
         return handler(v.second, v.first)
 
     def update(v, r):
-        return Pair(Unit(), v.second)
+        return Pair(Unit(), unchanged(v.second))
 
     return _server(unit_positions(uri), state, unit_positions(resp), view, update)
 
 
 def post_lens(uri: Schema, state: Container, body: Schema, handler) -> Server:
     """A write-only endpoint.  ``handler(state_value, uri_value,
-    body_value)`` computes the replacement state; GET responds with
-    unit."""
-    _require_const_state(state, "post_lens")
+    body_value)`` computes the state diff: the replacement value for a
+    const state, ``Inr(Pair(key, value))`` (store one entry) or
+    ``Inl(Unit())`` (change nothing) for a keyed one.  GET responds
+    with unit."""
+    _no_change(state, "post_lens")
 
     def update(v, r):
         return Pair(Unit(), handler(v.second, v.first, r))

@@ -1,32 +1,35 @@
 """Running state for servers: how diffs act on state values.
 
 A server's backward pass produces a *diff* at the state's current
-position, not a new state.  An ActionFamily says how such a diff moves
-the state: const state is replaced outright, tensored state updates
-componentwise, summed state updates inside whichever tag is present,
-and product state (separate states side by side, as external choice
-builds) updates exactly the component the diff addresses.  Its *slot*
-is the diff that would change nothing, built from the state's own
-parts, so a commit skips each part of a diff that the state holds.
+position, not a new state.  ``derive_action`` reads off a container's
+structure how such a diff moves the state: const state is replaced
+outright, keyed state stores the one entry the diff names (or nothing),
+tensored state updates componentwise, summed state updates inside
+whichever tag is present, and product state (separate states side by
+side, as external choice builds) updates exactly the component the
+diff addresses.  Any server built from the library combinators gets
+its state semantics for free.
 
-``derive_action`` reads both off a container's structure in one
-recursion, so any server built from the library combinators gets its
-state semantics for free.  ``StateCell`` holds the live value behind a
-lock; the engine runs each POST's read-update-write sequence inside
-one transaction.
+``StateCell`` holds the live value behind a lock and derives its own
+action, so every commit runs a derived action.  A derived action maps
+a conforming diff on a conforming state to a conforming state (one
+case per form above, by induction), so a commit checks the diff and
+nothing else.  The engine runs each POST's read-update-write sequence
+inside one transaction.
 """
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable
 
-from .containers import Container
-from .values import Inl, Inr, Pair, UnitS, Value, conforms, default_value
+from .containers import Container, keyed
+from .values import (
+    Inl, Inr, MapS, Pair, UnitS, Value, conforms, default_value, map_insert,
+)
 
 
 __all__ = [
-    "ActionFamily", "ActionDerivationError", "StateContractError",
+    "ActionDerivationError", "StateContractError",
     "derive_action", "initial_state", "StateCell",
 ]
 
@@ -39,20 +42,11 @@ class StateContractError(Exception):
     """A diff or a state value failed its conformance obligation."""
 
 
-@dataclass(frozen=True)
-class ActionFamily:
-    """``act(state, diff)`` moves a state by a diff; ``slot(state, diff)``
-    is the diff that would leave ``state`` unchanged, laid out like
-    ``diff`` and built from parts of ``state``, None where none fits."""
-
-    act: Callable[[Value, Value], Value]
-    slot: Callable[[Value, Value], Value | None]
-
-
-def derive_action(c: Container) -> ActionFamily:
-    """Read the update action off a container's structure.  Containers
-    without a structural description (or pinned to a position schema
-    that is neither the shape nor unit) have no derivable action."""
+def derive_action(c: Container) -> Callable[[Value, Value], Value]:
+    """Read the update action ``act(state, diff)`` off a container's
+    structure.  Containers without a structural description (or pinned
+    to a position schema that is not the shape, unit, or one entry of a
+    map shape) have no derivable action."""
     if c.form is None:
         raise ActionDerivationError(
             f"no action derivable for hand-rolled container {c!r}")
@@ -60,51 +54,39 @@ def derive_action(c: Container) -> ActionFamily:
     if tag == "pinned":
         pos = c.form[1]
         if pos == c.shape:
-            # A diff is the whole replacement value; the state is its own slot.
-            return ActionFamily(lambda v, p: p, lambda v, p: v)
+            return lambda v, p: p
         if pos == UnitS():
-            return ActionFamily(lambda v, p: v, lambda v, p: None)
+            return lambda v, p: v
+        if isinstance(c.shape, MapS) and c.form == keyed(c.shape.key, c.shape.val).form:
+            def store(v, p):
+                if isinstance(p, Inl):
+                    return v
+                return map_insert(v, p.value.first, p.value.second)
+            return store
         raise ActionDerivationError(
             f"pinned container {c!r}: positions {pos!r} are neither the "
-            f"shape nor unit, so diffs have no meaning as updates")
+            f"shape, unit, nor one entry of a map, so diffs have no meaning as updates")
     a = derive_action(c.form[1])
     b = derive_action(c.form[2])
     if tag == "tensor":
         def act(v, p):
-            return Pair(a.act(v.first, p.first), b.act(v.second, p.second))
-
-        def slot(v, p):
-            if not isinstance(p, Pair):
-                return None
-            return Pair(a.slot(v.first, p.first), b.slot(v.second, p.second))
+            return Pair(a(v.first, p.first), b(v.second, p.second))
     elif tag == "coproduct":
         # The diff lands inside whichever tag the state carries; the
         # tag itself never changes.
         def act(v, p):
             if isinstance(v, Inl):
-                return Inl(a.act(v.value, p))
-            return Inr(b.act(v.value, p))
-
-        def slot(v, p):
-            if isinstance(v, Inl):
-                return a.slot(v.value, p)
-            return b.slot(v.value, p)
+                return Inl(a(v.value, p))
+            return Inr(b(v.value, p))
     elif tag == "product":
         # The diff's tag picks the component; the other is untouched.
         def act(v, p):
             if isinstance(p, Inl):
-                return Pair(a.act(v.first, p.value), v.second)
-            return Pair(v.first, b.act(v.second, p.value))
-
-        def slot(v, p):
-            if isinstance(p, Inl):
-                return Inl(a.slot(v.first, p.value))
-            if isinstance(p, Inr):
-                return Inr(b.slot(v.second, p.value))
-            return None
+                return Pair(a(v.first, p.value), v.second)
+            return Pair(v.first, b(v.second, p.value))
     else:
         raise ActionDerivationError(f"unknown container form {tag!r} in {c!r}")
-    return ActionFamily(act, slot)
+    return act
 
 
 def initial_state(c: Container) -> Value:
@@ -113,19 +95,20 @@ def initial_state(c: Container) -> Value:
 
 
 class StateCell:
-    """The live state value, an action to move it, and a lock.
+    """The live state value, the action derived from its container, and
+    a lock.
 
     All reads and writes go through the lock; ``transaction`` keeps it
     held across a whole read-update-write sequence so concurrent POSTs
     serialize.
     """
 
-    def __init__(self, container: Container, action: ActionFamily, initial: Value):
+    def __init__(self, container: Container, initial: Value):
+        self.act = derive_action(container)
         if not conforms(container.shape, initial):
             raise StateContractError(
                 f"initial state {initial!r} does not conform to {container.shape!r}")
         self.container = container
-        self.action = action
         self._current = initial
         self._lock = threading.RLock()
 
@@ -134,21 +117,17 @@ class StateCell:
             return self._current
 
     def apply_diff(self, diff: Value) -> Value:
-        """Move the state by one diff; conformance is checked on the
-        way in and on the way out.  Both checks skip the subtrees that
-        are the very objects of the verified current state, so a diff
-        that rebuilds a small part of a large state costs that part."""
+        """Move the state by one diff, checked against the position
+        schema at the current state.  The derived action keeps the new
+        state conforming, so the check costs the diff's size, not the
+        state's."""
         with self._lock:
             old = self._current
             pos = self.container.position(old)
-            if not conforms(pos, diff, self.action.slot(old, diff)):
+            if not conforms(pos, diff):
                 raise StateContractError(
                     f"diff {diff!r} does not conform to position schema {pos!r}")
-            new = self.action.act(old, diff)
-            if not conforms(self.container.shape, new, old):
-                raise StateContractError(
-                    f"updated state {new!r} does not conform to {self.container.shape!r}")
-            self._current = new
+            self._current = new = self.act(old, diff)
             return new
 
     @contextmanager

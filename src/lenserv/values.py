@@ -2,10 +2,11 @@
 
 Values are immutable trees: unit, booleans, integers, naturals, text,
 pairs, tagged sums, lists, and ordered maps.  Schemas describe sets of
-values, and ``conforms`` decides membership.  The same universe is used
-for request paths, request and response bodies, and server state, so a
-single canonical JSON codec (``encode_json`` / ``decode_json``) covers
-all wire traffic.
+values, and ``conforms`` decides membership by walking the whole
+value; a state commit checks only its diff, so keyed state stays
+cheap.  The same universe is used for request paths, request and
+response bodies, and server state, so a single canonical JSON codec
+(``encode_json`` / ``decode_json``) covers all wire traffic.
 
 Everything here compares structurally, which is what makes lens laws
 decidable by testing: two values are equal exactly when their trees are.
@@ -13,10 +14,7 @@ decidable by testing: two values are equal exactly when their trees are.
 
 import json
 import random
-import weakref
 from dataclasses import dataclass, fields
-from itertools import chain, compress, repeat
-from operator import is_not
 
 
 __all__ = [
@@ -109,16 +107,9 @@ class Map(Value):
     for encoding (the codec is bit-exact), though not for key lookup.
     The entries live in one insertion-ordered ``dict``, so a lookup is
     a hash probe and ``map_insert`` a C-level copy plus one store.
-
-    A Map made by ``map_insert`` also remembers where it came from: a
-    weak reference to the Map it copied (``_base``) and the one key it
-    stored (``_key``).  They are not fields, so equality, hashing and
-    printing ignore them, and pickling and copying drop them.
     """
 
     _index: dict
-    _base = None
-    _key = None
 
     def __init__(self, entries=()):
         entries = tuple(entries)
@@ -147,9 +138,6 @@ class Map(Value):
     def __repr__(self):
         return f"Map({list(self._index.items())!r})"
 
-    def __getstate__(self):
-        return {"_index": self._index}
-
 
 def map_lookup(m: Map, key: Value, default: Value | None = None) -> Value | None:
     return m._index.get(key, default)
@@ -161,8 +149,6 @@ def map_insert(m: Map, key: Value, value: Value) -> Map:
     index[key] = value
     out = object.__new__(Map)   # keys stay distinct; skip the constructor's check
     object.__setattr__(out, "_index", index)
-    object.__setattr__(out, "_base", weakref.ref(m))
-    object.__setattr__(out, "_key", key)
     return out
 
 
@@ -259,41 +245,14 @@ def is_scalar_schema(s: Schema) -> bool:
 # Conformance
 
 
-# Pads the shorter side of a slot-by-slot scan; no value ever holds it.
-_ABSENT = object()
-
-
-def _moved(new, old):
-    """``(item, item in the same slot of old)`` for each slot of ``new``
-    that does not hold the very object ``old`` holds there.  The scan
-    runs in C, so slots shared with ``old`` cost no Python-level work.
-    With nothing to compare against, every slot has moved and is paired
-    with ``None``, which vouches for nothing."""
-    if not old:
-        return zip(new, repeat(None))
-    pad = repeat(_ABSENT)
-    return compress(zip(new, chain(old, pad)), map(is_not, new, chain(old, pad)))
-
-
-def conforms(s: Schema, v: Value, known: Value | None = None) -> bool:
+def conforms(s: Schema, v: Value) -> bool:
     """Decide whether ``v`` belongs to the set described by ``s``.
-
-    ``known``, when given, must be a value already verified to conform
-    to ``s``.  Values are immutable, so any part of ``v`` that is the
-    very object found at the same place in ``known`` conforms too and
-    is not walked again; everything else is checked in full.  With
-    ``known`` the persistent new version of a verified value is checked
-    in time proportional to what changed.  A Map that ``map_insert``
-    made from the very object ``known`` differs from it in one entry,
-    so only that entry is checked.
 
     >>> conforms(ProdS(IntS(), TextS()), Pair(Int(1), Text("x")))
     True
     >>> conforms(NatS(), Int(3))
     False
     """
-    if known is not None and v is known:
-        return True
     if isinstance(s, UnitS):
         return isinstance(v, Unit)
     if isinstance(s, BoolS):
@@ -307,35 +266,20 @@ def conforms(s: Schema, v: Value, known: Value | None = None) -> bool:
     if isinstance(s, LitS):
         return isinstance(v, Text) and v.s == s.lit
     if isinstance(s, ProdS):
-        if not isinstance(v, Pair):
-            return False
-        kf, ks = (known.first, known.second) if isinstance(known, Pair) else (None, None)
-        return conforms(s.left, v.first, kf) and conforms(s.right, v.second, ks)
+        return (isinstance(v, Pair)
+                and conforms(s.left, v.first)
+                and conforms(s.right, v.second))
     if isinstance(s, SumS):
         if isinstance(v, Inl):
-            return conforms(s.left, v.value, known.value if isinstance(known, Inl) else None)
+            return conforms(s.left, v.value)
         if isinstance(v, Inr):
-            return conforms(s.right, v.value, known.value if isinstance(known, Inr) else None)
+            return conforms(s.right, v.value)
         return False
     if isinstance(s, ListS):
-        if not isinstance(v, List):
-            return False
-        old = known.items if isinstance(known, List) else ()
-        return all(conforms(s.elem, x, kx) for x, kx in _moved(v.items, old))
+        return isinstance(v, List) and all(conforms(s.elem, x) for x in v.items)
     if isinstance(s, MapS):
-        if not isinstance(v, Map):
-            return False
-        new = v._index
-        old = known._index if isinstance(known, Map) else {}
-        if known is not None and v._base is not None and v._base() is known:
-            # v is known with one key stored: check just that entry.
-            k = v._key
-            return (k in old or conforms(s.key, k)) and conforms(s.val, new[k], old.get(k))
-        # An entry conforms when its key and its value do, so keys and
-        # values are scanned apart and each checked where it moved.
-        return (all(conforms(s.key, k, kk) for k, kk in _moved(new, old))
-                and all(conforms(s.val, x, kx)
-                        for x, kx in _moved(new.values(), old.values())))
+        return isinstance(v, Map) and all(
+            conforms(s.key, k) and conforms(s.val, x) for k, x in v._index.items())
     raise TypeError(f"unknown schema {s!r}")
 
 

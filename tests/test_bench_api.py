@@ -1,7 +1,8 @@
-"""The benchmark's in-process sweeps build servers from the public API
-only, and its traced server rebuilds a prepared server through the
-library's constructors and engine globals; run both here so that an API
-change that breaks them fails the test suite instead of the benchmark."""
+"""The benchmark's in-process sweeps (nesting depth and todo state
+size) build servers from the public API only, and its traced server
+rebuilds a prepared server through the library's constructors and
+engine globals; run them here so that an API change that breaks them
+fails the test suite instead of the benchmark."""
 
 import importlib.util
 from pathlib import Path
@@ -32,6 +33,13 @@ def test_depth_sweep_runs_on_the_public_api():
     for depth in sweeps.DEPTHS:
         assert out[f"servers.update.depth{depth}_us"] > 0
         assert out[f"servers.handler_calls.depth{depth}"] >= 1
+
+
+def test_state_sweep_runs_on_the_public_api():
+    sweeps = _load("sweeps")
+    out = sweeps.state_sweep(1)   # raises SweepMismatch on a disagreement
+    for users in sweeps.USER_COUNTS:
+        assert out[f"state.apply_diff.users{users}_us"] > 0
 
 
 def test_traced_server_records_every_span(monkeypatch):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import counter
-from lenserv.containers import const_of, pinned, tensor
+from lenserv.containers import const_of, keyed, pinned, tensor
 from lenserv.deplens import DepLens
 from lenserv.engine import (
     EngineConfig,
@@ -28,8 +28,12 @@ from lenserv.values import (
     Inr,
     Int,
     IntS,
+    List,
     ListS,
     LitS,
+    Map,
+    Nat,
+    NatS,
     Pair,
     ProdS,
     SumS,
@@ -208,6 +212,37 @@ def test_state_focused_through_a_parallel_lens_serves():
     assert handle_get(p, "/pair").body == "[5,6]"
     assert handle_post(p, "/pair", '[5,"x"]').status == 400
     assert p.cell.snapshot() == Pair(Pair(Int(5), Bool(True)), Pair(Text("keep"), Int(6)))
+
+
+_TODO = keyed(NatS(), ListS(TextS()))
+_TODO_START = Map(((Nat(1), List((Text("x"),))),))
+
+
+def test_keyed_state_commits_one_entry_per_post():
+    p = prepare("s" / state_server(_TODO), initial=_TODO_START)
+    assert handle_post(p, "/s", '{"R":[7,["a"]]}').status == 200
+    assert handle_get(p, "/s").body == '[[1,["x"]],[7,["a"]]]'
+    before = p.cell.snapshot()
+    assert handle_post(p, "/s", '{"L":null}').status == 200
+    assert p.cell.snapshot() is before
+    for body in ('[[1,["y"]]]', '{"R":[-1,[]]}'):   # a whole Map; a negative key
+        assert handle_post(p, "/s", body).status == 400
+        assert p.cell.snapshot() is before
+
+
+def test_keyed_post_lens_with_a_bad_entry_is_500_and_commits_nothing():
+    bad = "add" / post_lens(NatS(), _TODO, TextS(),
+                            lambda st, user, item: Inr(Pair(user, List((Int(1),)))))
+    reader = "all" / get_lens(NatS(), _TODO, ListS(TextS()),
+                              lambda st, user: List(()))
+    p = prepare(bad & reader, initial=_TODO_START)
+    resp = handle_post(p, "/add/1", '"y"')
+    assert resp.status == 500
+    assert "does not conform" in json.loads(resp.body)["error"]
+    assert p.cell.snapshot() is _TODO_START
+    # a POST to the read-only endpoint commits the diff that changes nothing
+    assert handle_post(p, "/all/1", "null").status == 200
+    assert p.cell.snapshot() is _TODO_START
 
 
 def test_get_responses_drop_route_tags():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from lenserv.containers import Container, const_of, pinned, product, tensor, unit_positions
+from lenserv.containers import (
+    Container, const_of, keyed, pinned, product, tensor, unit_positions,
+)
 from lenserv.deplens import BoundaryMismatch, DepLens
 from lenserv.lens import fst_lens, snd_lens
 from lenserv.servers import (
@@ -30,6 +32,7 @@ from lenserv.values import (
     Int,
     IntS,
     LitS,
+    MapS,
     NatS,
     Pair,
     ProdS,
@@ -91,6 +94,13 @@ def test_endpoint_lenses_require_const_state():
     mismatched = pinned(IntS(), TextS())
     with pytest.raises(ValueError):
         get_lens(IntS(), mismatched, IntS(), lambda st, n: n)
+    # keyed state is accepted; an entry of another map is not
+    get_lens(IntS(), keyed(NatS(), IntS()), IntS(), lambda st, n: n)
+    post_lens(IntS(), keyed(NatS(), IntS()), IntS(), lambda st, n, b: Inl(Unit()))
+    other_entry = pinned(MapS(NatS(), IntS()), SumS(UnitS(), ProdS(NatS(), TextS())))
+    for lens in (get_lens, post_lens):
+        with pytest.raises(ValueError):
+            lens(IntS(), other_entry, IntS(), lambda *args: Unit())
 
 
 def test_handler_errors_propagate():
