@@ -76,6 +76,11 @@ def keyed(key: Schema, val: Schema) -> Container:
     return pinned(MapS(key, val), SumS(UnitS(), ProdS(key, val)))
 
 
+def is_keyed(c: Container) -> bool:
+    """Whether ``c`` is ``keyed(k, v)`` for some ``k`` and ``v``."""
+    return isinstance(c.shape, MapS) and c.form == keyed(c.shape.key, c.shape.val).form
+
+
 def product(a: Container, b: Container) -> Container:
     """Both shapes; a position addresses one component or the other."""
     def pos(v: Value) -> Schema:

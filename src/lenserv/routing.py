@@ -3,17 +3,18 @@
 A schema built from unit, literals, scalar captures, products, and sums
 reads as a path grammar: products sequence segments, sums are ordered
 alternatives, literals match themselves, and Int/Nat/Text/Bool each
-match one typed segment.  ``parser_for`` derives the grammar once, and
-each schema kind defines three things side by side: how it matches
-segments (``run``), how a value renders back to segments (``render``),
-and its alternatives as ``describe_routes`` lists them (``routes``).
-``parse_uri`` turns a path into the schema's value; ``render_uri`` goes
-the other way.
+match one typed segment.  ``parser_for`` derives the grammar once for
+all equal schemas, and each schema kind defines three things side by
+side: how it matches segments (``run``), how a value renders back to
+segments (``render``), and its alternatives as ``describe_routes`` lists
+them (``routes``).  ``parse_uri`` turns a path into the schema's value;
+``render_uri`` goes the other way.
 
 Matching is deterministic: an alternative commits to the first branch
 that matches locally, and the whole parse succeeds only when every
 segment is consumed.  Segments are percent-decoded before matching, and
-one trailing slash is ignored.  A path with a character outside ASCII
+one trailing slash is ignored.  A numeral longer than ``int()``
+converts matches no capture.  A path with a character outside ASCII
 or an escape that is not UTF-8 matches nothing: decoding it would
 replace bytes with U+FFFD, or read raw bytes as Latin-1, and so capture
 the same text as some well-formed path.
@@ -27,7 +28,7 @@ from urllib.parse import quote, unquote
 
 from .values import (
     Bool, BoolS, Inl, Inr, Int, IntS, ListS, LitS, MapS, Nat, NatS, Pair,
-    ProdS, Schema, SumS, Text, TextS, Unit, UnitS, Value, conforms,
+    ProdS, Schema, SumS, Text, TextS, Unit, UnitS, Value, conforms, per_schema,
 )
 
 
@@ -66,7 +67,10 @@ def _segment(s: Schema, match: Callable[[str], Value | None],
     def run(segments, i):
         if i >= len(segments):
             return None
-        v = match(segments[i])
+        try:
+            v = match(segments[i])
+        except ValueError:  # a numeral longer than int() converts
+            return None
         return None if v is None else (v, i + 1)
 
     def render_one(v):
@@ -112,6 +116,7 @@ def alt_parser(a: UriParser, b: UriParser) -> UriParser:
                      a.routes + b.routes)
 
 
+@per_schema
 def parser_for(s: Schema) -> UriParser:
     """Derive the path grammar of a schema, or raise NotRoutable."""
     if isinstance(s, UnitS):

@@ -41,12 +41,12 @@ the HTTP engine turns that into a 400 response.
 from dataclasses import dataclass
 
 from .containers import (
-    Container, const_of, coproduct, keyed, pinned, product, tensor,
+    Container, const_of, coproduct, is_keyed, pinned, product, tensor,
     unit_positions,
 )
 from .deplens import DepLens, dep_identity
 from .values import (
-    BoolS, Inl, Inr, IntS, MapS, NatS, Pair, ProdS, Schema, TextS, LitS, Unit,
+    BoolS, Inl, Inr, IntS, NatS, Pair, ProdS, Schema, TextS, LitS, Unit,
     UnitS,
 )
 
@@ -224,10 +224,9 @@ def _no_change(state: Container, who: str):
     """``st -> the diff that leaves st as it is``: the state itself for
     a const container, ``Inl(Unit())`` for a keyed one.  Any other
     state container raises ``ValueError``."""
-    shape = state.shape
-    if state.form == ("pinned", shape):
+    if state.form == ("pinned", state.shape):
         return lambda st: st
-    if isinstance(shape, MapS) and state.form == keyed(shape.key, shape.val).form:
+    if is_keyed(state):
         return lambda st: Inl(Unit())
     raise ValueError(
         f"{who} needs a const or keyed state container, got {state!r}")

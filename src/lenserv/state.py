@@ -22,9 +22,9 @@ import threading
 from contextlib import contextmanager
 from typing import Callable
 
-from .containers import Container, keyed
+from .containers import Container, is_keyed
 from .values import (
-    Inl, Inr, MapS, Pair, UnitS, Value, conforms, default_value, map_insert,
+    Inl, Inr, Pair, UnitS, Value, conforms, default_value, map_insert,
 )
 
 
@@ -57,7 +57,7 @@ def derive_action(c: Container) -> Callable[[Value, Value], Value]:
             return lambda v, p: p
         if pos == UnitS():
             return lambda v, p: v
-        if isinstance(c.shape, MapS) and c.form == keyed(c.shape.key, c.shape.val).form:
+        if is_keyed(c):
             def store(v, p):
                 if isinstance(p, Inl):
                     return v

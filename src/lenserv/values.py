@@ -2,9 +2,10 @@
 
 Values are immutable trees: unit, booleans, integers, naturals, text,
 pairs, tagged sums, lists, and ordered maps.  Schemas describe sets of
-values, and ``conforms`` decides membership by walking the whole
-value; a state commit checks only its diff, so keyed state stays
-cheap.  The same universe is used for request paths, request and
+values.  What a schema means is derived once, one case per schema kind:
+membership (``conforms`` walks the whole value, so a state commit
+checks only its diff), decoding, the default, generation and
+enumeration.  The same universe is used for request paths, request and
 response bodies, and server state, so a single canonical JSON codec
 (``encode_json`` / ``decode_json``) covers all wire traffic.
 
@@ -12,9 +13,11 @@ Everything here compares structurally, which is what makes lens laws
 decidable by testing: two values are equal exactly when their trees are.
 """
 
+import functools
 import json
 import random
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 
 __all__ = [
@@ -166,6 +169,10 @@ class Schema:
         args = ", ".join(repr(getattr(self, f.name)) for f in fields(self))
         return f"{type(self).__name__}({args})" if args else type(self).__name__
 
+    def __getstate__(self):
+        """Only the fields, without the derivation ``_kind`` keeps here."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True, repr=False)
 class UnitS(Schema):
@@ -242,7 +249,128 @@ def is_scalar_schema(s: Schema) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Conformance
+# What each schema means, derived once
+
+
+class _Kind(NamedTuple):
+    """What a schema means, side by side: membership, the decoder from
+    parsed JSON, the default, the generator, and all values (or None)."""
+
+    member: Callable[[Value], bool]
+    decode: Callable[[object], Value]
+    default: Value
+    generate: Callable[[random.Random], Value]
+    values: tuple | None
+
+
+# Equal schemas share one derivation.  Bounded, because a hand-rolled
+# container's position function may build a new schema for every state.
+per_schema = functools.lru_cache(maxsize=1024)
+
+ENUMERATION_LIMIT = 512
+
+_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 _-"
+
+# The scalars with a payload: the value class, which parsed JSON objects
+# it decodes, the default payload, how to draw a payload, the values.
+_SCALAR_KINDS = {
+    BoolS: (Bool, lambda o: o.__class__ is bool, False, lambda rng: rng.random() < 0.5,
+            (Bool(False), Bool(True))),
+    IntS: (Int, lambda o: o.__class__ is int, 0, lambda rng: rng.randint(-1000, 1000), None),
+    NatS: (Nat, lambda o: o.__class__ is int and o >= 0, 0, lambda rng: rng.randint(0, 1000),
+           None),
+    TextS: (Text, lambda o: o.__class__ is str, "",
+            lambda rng: "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 8))), None),
+}
+
+
+def _mismatch(s: Schema, o):
+    raise DecodeError(f"value {o!r} does not conform to {s!r}")
+
+
+def _kind(s: Schema) -> _Kind:
+    """What ``s`` means: derived once for all equal schemas, then kept on
+    ``s``, so that a schema checked per request is not hashed per request."""
+    kind = s.__dict__.get("_kind")
+    if kind is None:
+        kind = s.__dict__["_kind"] = _derive(s)
+    return kind
+
+
+@per_schema
+def _derive(s: Schema) -> _Kind:
+    """Derive what ``s`` means from its kind and its parts' kinds."""
+    t = s.__class__
+    if t in _SCALAR_KINDS:
+        cls, ok, payload, draw, values = _SCALAR_KINDS[t]
+        return _Kind(lambda v: v.__class__ is cls, lambda o: cls(o) if ok(o) else _mismatch(s, o),
+                     cls(payload), lambda rng: cls(draw(rng)), values)
+    if t is UnitS or t is LitS:
+        v0 = Unit() if t is UnitS else Text(s.lit)
+        o0 = _to_obj(v0)
+        return _Kind(lambda v: v == v0, lambda o: v0 if o == o0 else _mismatch(s, o),
+                     v0, lambda rng: v0, (v0,))
+    if t is ProdS:
+        a, b = _kind(s.left), _kind(s.right)
+        finite = a.values and b.values and len(a.values) * len(b.values) <= ENUMERATION_LIMIT
+        return _Kind(
+            lambda v: v.__class__ is Pair and a.member(v.first) and b.member(v.second),
+            lambda o: (Pair(a.decode(o[0]), b.decode(o[1])) if o.__class__ is list and len(o) == 2
+                       else _mismatch(s, o)),
+            Pair(a.default, b.default),
+            lambda rng: Pair(a.generate(rng), b.generate(rng)),
+            tuple(Pair(x, y) for x in a.values for y in b.values) if finite else None)
+    if t is SumS:
+        a, b = _kind(s.left), _kind(s.right)
+
+        def decode(o):
+            if o.__class__ is dict and len(o) == 1:
+                if "L" in o:
+                    return Inl(a.decode(o["L"]))
+                if "R" in o:
+                    return Inr(b.decode(o["R"]))
+            _mismatch(s, o)
+        finite = a.values and b.values and len(a.values) + len(b.values) <= ENUMERATION_LIMIT
+        return _Kind(
+            lambda v: (a.member(v.value) if v.__class__ is Inl
+                       else v.__class__ is Inr and b.member(v.value)),
+            decode, Inl(a.default),
+            lambda rng: Inl(a.generate(rng)) if rng.random() < 0.5 else Inr(b.generate(rng)),
+            (*map(Inl, a.values), *map(Inr, b.values)) if finite else None)
+    if t is ListS:
+        e = _kind(s.elem)
+        return _Kind(
+            lambda v: v.__class__ is List and all(map(e.member, v.items)),
+            lambda o: List(map(e.decode, o)) if o.__class__ is list else _mismatch(s, o),
+            List(()), lambda rng: List(e.generate(rng) for _ in range(rng.randint(0, 4))), None)
+    if t is MapS:
+        k, x = _kind(s.key), _kind(s.val)
+
+        def decode(o):
+            if o.__class__ is not list:
+                _mismatch(s, o)
+            entries = []
+            for e in o:
+                if not (e.__class__ is list and len(e) == 2):
+                    raise DecodeError(f"map entry must be a two-element array, got {e!r}")
+                entries.append((k.decode(e[0]), x.decode(e[1])))
+            try:
+                return Map(entries)
+            except ValueError as exc:
+                raise DecodeError(str(exc)) from None
+
+        def generate(rng):
+            entries = {}
+            for _ in range(rng.randint(0, 4)):
+                key = k.generate(rng)
+                if key not in entries:
+                    entries[key] = x.generate(rng)
+            return Map(entries.items())
+        return _Kind(
+            lambda v: (v.__class__ is Map and all(map(k.member, v._index))
+                       and all(map(x.member, v._index.values()))),
+            decode, Map(()), generate, None)
+    raise TypeError(f"unknown schema {s!r}")
 
 
 def conforms(s: Schema, v: Value) -> bool:
@@ -253,34 +381,26 @@ def conforms(s: Schema, v: Value) -> bool:
     >>> conforms(NatS(), Int(3))
     False
     """
-    if isinstance(s, UnitS):
-        return isinstance(v, Unit)
-    if isinstance(s, BoolS):
-        return isinstance(v, Bool)
-    if isinstance(s, IntS):
-        return isinstance(v, Int)
-    if isinstance(s, NatS):
-        return isinstance(v, Nat)
-    if isinstance(s, TextS):
-        return isinstance(v, Text)
-    if isinstance(s, LitS):
-        return isinstance(v, Text) and v.s == s.lit
-    if isinstance(s, ProdS):
-        return (isinstance(v, Pair)
-                and conforms(s.left, v.first)
-                and conforms(s.right, v.second))
-    if isinstance(s, SumS):
-        if isinstance(v, Inl):
-            return conforms(s.left, v.value)
-        if isinstance(v, Inr):
-            return conforms(s.right, v.value)
-        return False
-    if isinstance(s, ListS):
-        return isinstance(v, List) and all(conforms(s.elem, x) for x in v.items)
-    if isinstance(s, MapS):
-        return isinstance(v, Map) and all(
-            conforms(s.key, k) and conforms(s.val, x) for k, x in v._index.items())
-    raise TypeError(f"unknown schema {s!r}")
+    return _kind(s).member(v)
+
+
+def default_value(s: Schema) -> Value:
+    """The designated initial value of each schema."""
+    return _kind(s).default
+
+
+def generate_value(s: Schema, rng: random.Random) -> Value:
+    """Draw a conforming value.  Ints are bounded to +/-1000, Nats to
+    0..1000, texts to short strings; containers stay small so sampled
+    law checks run fast."""
+    return _kind(s).generate(rng)
+
+
+def enumerate_values(s: Schema) -> list | None:
+    """All values of a finite schema, or None when the schema is
+    infinite or the enumeration would exceed ``ENUMERATION_LIMIT``."""
+    values = _kind(s).values
+    return None if values is None else list(values)
 
 
 # ---------------------------------------------------------------------------
@@ -328,155 +448,14 @@ def _reject_const(token):
     raise DecodeError(f"non-finite number {token!r} not allowed")
 
 
-def _from_obj(s: Schema, o) -> Value:
-    if isinstance(s, UnitS):
-        if o is None:
-            return Unit()
-    elif isinstance(s, BoolS):
-        if isinstance(o, bool):
-            return Bool(o)
-    elif isinstance(s, IntS):
-        if isinstance(o, int) and not isinstance(o, bool):
-            return Int(o)
-    elif isinstance(s, NatS):
-        if isinstance(o, int) and not isinstance(o, bool) and o >= 0:
-            return Nat(o)
-    elif isinstance(s, TextS):
-        if isinstance(o, str):
-            return Text(o)
-    elif isinstance(s, LitS):
-        if o == s.lit:
-            return Text(o)
-    elif isinstance(s, ProdS):
-        if isinstance(o, list) and len(o) == 2:
-            return Pair(_from_obj(s.left, o[0]), _from_obj(s.right, o[1]))
-    elif isinstance(s, SumS):
-        if isinstance(o, dict) and len(o) == 1:
-            if "L" in o:
-                return Inl(_from_obj(s.left, o["L"]))
-            if "R" in o:
-                return Inr(_from_obj(s.right, o["R"]))
-    elif isinstance(s, ListS):
-        if isinstance(o, list):
-            return List(tuple(_from_obj(s.elem, x) for x in o))
-    elif isinstance(s, MapS):
-        if isinstance(o, list):
-            entries = []
-            for e in o:
-                if not (isinstance(e, list) and len(e) == 2):
-                    raise DecodeError(f"map entry must be a two-element array, got {e!r}")
-                entries.append((_from_obj(s.key, e[0]), _from_obj(s.val, e[1])))
-            try:
-                return Map(entries)
-            except ValueError as exc:
-                raise DecodeError(str(exc)) from None
-    else:
-        raise TypeError(f"unknown schema {s!r}")
-    raise DecodeError(f"value {o!r} does not conform to {s!r}")
-
-
 def decode_json(s: Schema, text: str) -> Value:
     """Schema-directed decoding; the left inverse of ``encode_json``."""
     try:
         obj = json.loads(text, parse_constant=_reject_const)
     except DecodeError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise DecodeError(f"malformed JSON: {exc}") from None
     if isinstance(obj, float):
         raise DecodeError("floating point numbers are not in the value universe")
-    return _from_obj(s, obj)
-
-
-# ---------------------------------------------------------------------------
-# Defaults, generation, enumeration
-
-
-def default_value(s: Schema) -> Value:
-    """The designated initial value of each schema."""
-    if isinstance(s, UnitS):
-        return Unit()
-    if isinstance(s, BoolS):
-        return Bool(False)
-    if isinstance(s, IntS):
-        return Int(0)
-    if isinstance(s, NatS):
-        return Nat(0)
-    if isinstance(s, TextS):
-        return Text("")
-    if isinstance(s, LitS):
-        return Text(s.lit)
-    if isinstance(s, ProdS):
-        return Pair(default_value(s.left), default_value(s.right))
-    if isinstance(s, SumS):
-        return Inl(default_value(s.left))
-    if isinstance(s, ListS):
-        return List(())
-    if isinstance(s, MapS):
-        return Map(())
-    raise TypeError(f"unknown schema {s!r}")
-
-
-_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 _-"
-
-
-def generate_value(s: Schema, rng: random.Random) -> Value:
-    """Draw a conforming value.  Ints are bounded to +/-1000, Nats to
-    0..1000, texts to short strings; containers stay small so sampled
-    law checks run fast."""
-    if isinstance(s, UnitS):
-        return Unit()
-    if isinstance(s, BoolS):
-        return Bool(rng.random() < 0.5)
-    if isinstance(s, IntS):
-        return Int(rng.randint(-1000, 1000))
-    if isinstance(s, NatS):
-        return Nat(rng.randint(0, 1000))
-    if isinstance(s, TextS):
-        n = rng.randint(0, 8)
-        return Text("".join(rng.choice(_ALPHABET) for _ in range(n)))
-    if isinstance(s, LitS):
-        return Text(s.lit)
-    if isinstance(s, ProdS):
-        return Pair(generate_value(s.left, rng), generate_value(s.right, rng))
-    if isinstance(s, SumS):
-        if rng.random() < 0.5:
-            return Inl(generate_value(s.left, rng))
-        return Inr(generate_value(s.right, rng))
-    if isinstance(s, ListS):
-        return List(tuple(generate_value(s.elem, rng) for _ in range(rng.randint(0, 4))))
-    if isinstance(s, MapS):
-        entries = []
-        keys = set()
-        for _ in range(rng.randint(0, 4)):
-            k = generate_value(s.key, rng)
-            if k in keys:
-                continue
-            keys.add(k)
-            entries.append((k, generate_value(s.val, rng)))
-        return Map(tuple(entries))
-    raise TypeError(f"unknown schema {s!r}")
-
-
-def enumerate_values(s: Schema, limit: int = 512) -> list | None:
-    """All values of a finite schema, or None when the schema is
-    infinite or the enumeration would exceed ``limit``."""
-    if isinstance(s, UnitS):
-        return [Unit()]
-    if isinstance(s, BoolS):
-        return [Bool(False), Bool(True)]
-    if isinstance(s, LitS):
-        return [Text(s.lit)]
-    if isinstance(s, ProdS):
-        ls = enumerate_values(s.left, limit)
-        rs = enumerate_values(s.right, limit)
-        if ls is None or rs is None or len(ls) * len(rs) > limit:
-            return None
-        return [Pair(a, b) for a in ls for b in rs]
-    if isinstance(s, SumS):
-        ls = enumerate_values(s.left, limit)
-        rs = enumerate_values(s.right, limit)
-        if ls is None or rs is None or len(ls) + len(rs) > limit:
-            return None
-        return [Inl(a) for a in ls] + [Inr(b) for b in rs]
-    return None
+    return _kind(s).decode(obj)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -288,3 +289,31 @@ def test_get_never_changes_state():
     for path in ("/peek", "/add/3", "/nope", "/peek/"):
         handle_get(p, path)
     assert encode_json(p.cell.snapshot()) == before
+
+
+def test_mixed_requests_derive_no_new_schema_after_warm_up():
+    from lenserv import routing, values
+    from lenserv.demos import build_combined
+
+    p = prepare(build_combined())
+    paths = ["/todo/all/{n}", "/todo/add/{n}", "/calculator/{op}/{n}/{i}", "/iot/boiler",
+             "/iot/lights/1", "/iot/lights/2", "/nope/{n}"]
+    bodies = [None, "null", "true", '"item"', "[1]", "{"]
+    rng = random.Random(9)
+
+    def send(path, body):
+        path = path.format(n=rng.randint(0, 30), i=rng.randint(-5, 5),
+                           op=rng.choice(["add", "sub", "mul", "div"]))
+        resp = handle_get(p, path) if body is None else handle_post(p, path, body)
+        assert resp.status in (200, 400, 404), (path, body, resp)
+
+    def derivations():
+        return values._derive.cache_info().misses, routing.parser_for.cache_info().misses
+
+    for path in paths:
+        for body in bodies:
+            send(path, body)
+    before = derivations()
+    for _ in range(2000):
+        send(rng.choice(paths), rng.choice(bodies))
+    assert derivations() == before

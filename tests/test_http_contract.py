@@ -61,6 +61,10 @@ ROWS = [
     Row("get_with_a_body", req(b"GET /peek", LENGTH % 7, b"[1,2,3]"), [(200, "7")]),
     Row("bad_utf8_body", post(b"/add/1", b"\xff\xfe"), [(400, ERROR)]),
     Row("raw_bad_utf8_path", req(b"GET /peek\xff"), [(404, ERROR)]),
+    Row("int_capture_over_the_digit_limit", req(b"GET /add/" + b"9" * 5000) + PEEK,
+        [(404, ERROR), (200, "7")]),
+    Row("deeply_nested_body", post(b"/add/1", b"[" * 100000) + PEEK,
+        [(400, ERROR), (200, "7")]),
     Row("percent_bad_utf8_path", req(b"GET /peek%FF"), [(404, ERROR)]),
     Row("body_at_limit", post(b"/add/1", b" " * (MAX_BODY_BYTES - 1) + b"7") + PEEK,
         [(200, "null"), (200, "14")], unchanged=False),

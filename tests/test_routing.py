@@ -126,6 +126,14 @@ def test_seq_and_alt_parsers_directly():
     assert q.run([], 0) is None
 
 
+def test_equal_schemas_share_one_grammar():
+    from lenserv.demos import build_combined
+
+    a, b = build_combined().left.shape, build_combined().left.shape
+    assert a == b and a is not b
+    assert parser_for(a) is parser_for(b)
+
+
 def test_unroutable_schemas():
     with pytest.raises(NotRoutable):
         parser_for(ListS(IntS()))

@@ -307,10 +307,9 @@ def test_combined_cell_rejects_one_bad_entry_in_a_shared_map(edit):
 
 
 def _work_per_post(monkeypatch, demo, users):
-    """``(conforms calls, todo keys checked)`` in one todo POST, nested
-    calls included."""
+    """``(membership checks, todo keys checked)`` in one todo POST,
+    nested checks included."""
     import lenserv.engine
-    import lenserv.state
     import lenserv.values
     from lenserv.demos import DEMOS
 
@@ -321,21 +320,24 @@ def _work_per_post(monkeypatch, demo, users):
         rest = lenserv.engine.prepare(server).cell.snapshot().second
         initial, prefix = Pair(_todo_map(users), rest), "/todo"
     p = lenserv.engine.prepare(server, initial=initial)
-    calls, keys = [0], [0]
-    real_conforms = lenserv.values.conforms
+    checks, keys = [0], [0]
+    derive = lenserv.values._derive.__wrapped__  # uncached: every part is derived afresh
 
-    def counting(s, v):
-        calls[0] += 1
-        keys[0] += isinstance(v, Nat)
-        return real_conforms(s, v)
+    def counting(s):
+        kind = derive(s)
+
+        def member(v):
+            checks[0] += 1
+            keys[0] += isinstance(v, Nat)
+            return kind.member(v)
+        return kind._replace(member=member)
 
     with monkeypatch.context() as patch:
-        for module in (lenserv.values, lenserv.state, lenserv.engine):
-            patch.setattr(module, "conforms", counting)
+        patch.setattr(lenserv.values, "_kind", counting)
         resp = lenserv.engine.handle_post(p, f"{prefix}/add/{users - 1}", '"new"')
     assert resp.status == 200
     assert p.cell.snapshot() != initial
-    return calls[0], keys[0]
+    return checks[0], keys[0]
 
 
 @pytest.mark.parametrize("demo", ["todo", "combined"])

@@ -207,6 +207,15 @@ def test_enumerate_infinite_is_none():
     assert enumerate_values(ProdS(BoolS(), TextS())) is None
 
 
+@settings(max_examples=200)
+@given(schemas())
+def test_enumeration_is_none_or_a_few_distinct_conforming_values(schema):
+    vals = enumerate_values(schema)
+    if vals is not None:
+        assert len(vals) <= 512 and len(set(vals)) == len(vals)
+        assert all(conforms(schema, v) for v in vals)
+
+
 # ----------------------------------------------------------------------- map
 
 
@@ -324,3 +333,13 @@ def _lookup_comparisons(monkeypatch, size):
 
 def test_map_lookup_does_not_scan_the_entries(monkeypatch):
     assert _lookup_comparisons(monkeypatch, 5000) <= _lookup_comparisons(monkeypatch, 100)
+
+
+@settings(max_examples=100)
+@given(schemas())
+def test_a_derived_schema_pickles_and_copies_as_its_fields(schema):
+    fresh = pickle.dumps(schema)
+    assert conforms(schema, default_value(schema))  # derives it, if not yet
+    assert pickle.dumps(schema) == fresh
+    for twin in (pickle.loads(fresh), copy.deepcopy(schema), copy.copy(schema)):
+        assert twin == schema and hash(twin) == hash(schema) and repr(twin) == repr(schema)
