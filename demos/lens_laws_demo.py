@@ -2,8 +2,10 @@
 What makes a lens lawful, and what catching an unlawful one looks like
 ======================================================================
 
-A lens is a view/update pair.  The three classic laws say updates mean
-what they claim: put-get (you read back what you wrote), put-put
+A lens is one forward run: ``run(x)`` gives the view of ``x`` and a
+backward map that turns a new view into an updated ``x``; ``view`` and
+``update`` read its two halves.  The three classic laws say updates
+mean what they claim: put-get (you read back what you wrote), put-put
 (writing twice is writing once), get-put (writing what's there changes
 nothing).  ``check_laws`` samples them.
 """

@@ -11,6 +11,8 @@ composition.
 ``DEMOS`` maps the names the command line accepts to builders.
 """
 
+import sys
+
 from .containers import const_of, keyed
 from .lens import fst_lens, snd_lens
 from .servers import HandlerError, Server, get_lens, post_lens, state_server
@@ -38,8 +40,13 @@ def build_calculator() -> Server:
     nothing = const_of(UnitS())
 
     def endpoint(name, f):
-        return name / get_lens(args, nothing, IntS(),
-                               lambda st, xy, f=f: Int(f(xy.first.i, xy.second.i)))
+        def handler(st, xy):
+            n = f(xy.first.i, xy.second.i)
+            limit = sys.get_int_max_str_digits()  # a capture's bound too; 0 is none
+            if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+                raise HandlerError(f"result has more than {limit} digits")
+            return Int(n)
+        return name / get_lens(args, nothing, IntS(), handler)
 
     return (endpoint("add", lambda a, b: a + b)
             & endpoint("sub", lambda a, b: a - b)

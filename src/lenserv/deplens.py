@@ -1,12 +1,12 @@
 """Lenses: morphisms between containers.
 
-The backward direction is position-indexed: ``update`` receives a
-source shape value and a position taken *at the forward image of that
-value*, and must return a position at the value itself.  A plain lens
-is the special case between ``pinned`` containers, whose positions
-ignore the shape value; it is not a separate type.  Lenses compose
-sequentially (``>>``, updates thread back through every stage) and in
-parallel (``*``, componentwise on pairs).
+A lens is one forward run: ``run(v)`` returns the image of a source
+shape value together with a backward map from positions *at that image*
+to positions at ``v``.  A plain lens is the special case between
+``pinned`` containers, whose positions ignore the shape value; it is
+not a separate type.  Lenses compose sequentially (``>>``, backward maps
+thread back through every stage) and in parallel (``*``, componentwise
+on pairs), each part running forward once.
 """
 
 from dataclasses import dataclass
@@ -23,12 +23,36 @@ class BoundaryMismatch(Exception):
     """Composition was attempted between lenses whose boundaries differ."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DepLens:
+    """``DepLens(src, dst, view, update)`` builds a lens from its two
+    directions; ``DepLens.from_run(src, dst, run)`` from one run.
+
+    >>> from lenserv import Bool, BoolS, Int, IntS, ProdS, fst_lens
+    >>> y, back = fst_lens(ProdS(IntS(), BoolS())).run(Pair(Int(3), Bool(True)))
+    >>> y, back(Int(5))
+    (Int(3), Pair(Int(5), Bool(True)))
+    """
+
     src: Container
     dst: Container
-    view: Callable[[Value], Value]
-    update: Callable[[Value, Value], Value]
+    run: Callable[[Value], tuple]
+
+    def __init__(self, src: Container, dst: Container, view, update):
+        object.__setattr__(self, "__dict__", dict(
+            src=src, dst=dst, run=lambda v: (view(v), lambda p: update(v, p))))
+
+    @classmethod
+    def from_run(cls, src: Container, dst: Container, run) -> "DepLens":
+        lens = object.__new__(cls)
+        object.__setattr__(lens, "__dict__", dict(src=src, dst=dst, run=run))
+        return lens
+
+    def view(self, v: Value) -> Value:
+        return self.run(v)[0]
+
+    def update(self, v: Value, p: Value) -> Value:
+        return self.run(v)[1](p)
 
     def __rshift__(self, other):
         if isinstance(other, DepLens):
@@ -41,12 +65,16 @@ class DepLens:
         return NotImplemented
 
 
+def _same(p):
+    return p
+
+
 def dep_identity(c: Container) -> DepLens:
-    return DepLens(c, c, lambda v: v, lambda v, p: p)
+    return DepLens.from_run(c, c, lambda v: (v, _same))
 
 
 def dep_compose(a: DepLens, b: DepLens) -> DepLens:
-    """Run ``a`` then ``b``; updates thread back right to left.
+    """Run ``a`` then ``b``; backward maps thread back right to left.
 
     >>> from lenserv.lens import fst_lens
     >>> from lenserv.values import Bool, BoolS, Int, IntS, ProdS, Text, TextS
@@ -59,11 +87,13 @@ def dep_compose(a: DepLens, b: DepLens) -> DepLens:
     if not agree(a.dst, b.src):
         x, y = _first_disagreement(a.dst, b.src)
         raise BoundaryMismatch(f"cannot compose: {x!r} does not meet {y!r}")
-    return DepLens(
-        a.src, b.dst,
-        view=lambda v: b.view(a.view(v)),
-        update=lambda v, p: a.update(v, b.update(a.view(v), p)),
-    )
+
+    def run(v):
+        y, back_a = a.run(v)
+        z, back_b = b.run(y)
+        return z, lambda p: back_a(back_b(p))
+
+    return DepLens.from_run(a.src, b.dst, run)
 
 
 def _first_disagreement(a: Container, b: Container) -> tuple:
@@ -77,8 +107,9 @@ def _first_disagreement(a: Container, b: Container) -> tuple:
 
 
 def dep_parallel(a: DepLens, b: DepLens) -> DepLens:
-    return DepLens(
-        tensor(a.src, b.src), tensor(a.dst, b.dst),
-        view=lambda v: Pair(a.view(v.first), b.view(v.second)),
-        update=lambda v, p: Pair(a.update(v.first, p.first), b.update(v.second, p.second)),
-    )
+    def run(v):
+        y1, back1 = a.run(v.first)
+        y2, back2 = b.run(v.second)
+        return Pair(y1, y2), lambda p: Pair(back1(p.first), back2(p.second))
+
+    return DepLens.from_run(tensor(a.src, b.src), tensor(a.dst, b.dst), run)

@@ -9,22 +9,22 @@ in a threaded stdlib HTTP server.
 
 Exactly two methods exist, and both go through one request path.  GET
 runs the lens forward and never touches state.  POST parses the body at
-the position schema the forward pass picked out, runs the lens
-backward, checks the response against the request's response position,
-and only then applies the resulting diff; the whole read-update-write
-sequence happens inside one state transaction, so concurrent POSTs
-serialize, and a POST answered with anything but 200 has not changed
-state.
+the position schema the forward pass picked out, hands it to that
+pass's backward map, checks and encodes the response, and only then
+applies the resulting diff; the whole read-update-write sequence
+happens inside one state transaction, so concurrent POSTs serialize,
+and a POST answered with anything but 200 has not changed state.
 
 Status mapping: 200 success, 400 bad body or handler-signalled domain
-error, 404 no route, 405 other methods, 500 broken typing contract (a
-library or handler bug, never a client mistake).  A request whose end
-cannot be found, or whose body never arrives whole, is refused and the
-connection closed: 400 a malformed request line, header line or
-``Content-Length``, or a body cut short by the peer; 408 a body that
-stops arriving for ``IDLE_TIMEOUT_S``; 413 a body announced over
-``MAX_BODY_BYTES`` (1 MiB; unread); 501 a body sent with
-``Transfer-Encoding`` (unread).
+error, 404 no route, 405 other methods, 500 a broken typing contract or
+a failed phase (forward pass, backward pass, response position, response
+encoding, state commit): a library or handler bug, never a client
+mistake.  A request whose end cannot be found, or whose body never
+arrives whole, is refused and the connection closed: 400 a malformed
+request line, header line or ``Content-Length``, or a body cut short by
+the peer; 408 a body that stops arriving for ``IDLE_TIMEOUT_S``; 413 a
+body announced over ``MAX_BODY_BYTES`` (1 MiB; unread); 501 a body sent
+with ``Transfer-Encoding`` (unread).
 Every response body is JSON; errors look like ``{"error": "..."}``.
 """
 
@@ -158,7 +158,8 @@ def handle_post(p: PreparedServer, path: str, body: str) -> HttpResponse:
 
 def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
     """Serve a GET (``body`` is None) or a POST.  A POST commits its diff
-    as the last step of its transaction, after every check has passed."""
+    as the last step of its transaction, after every check has passed
+    and its answer is encoded."""
     x = _route(p, path)
     if x is None:
         return _error(404, f"no route matches {path}")
@@ -166,19 +167,21 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
     phase = "forward pass"
     try:
         with nullcontext() if body is None else p.cell.transaction():
-            v = Pair(x, p.cell.snapshot())
-            y = server.lens.view(v)
+            y, back = server.lens.run(Pair(x, p.cell.snapshot()))
             if body is None:
                 if not conforms(server.right.shape, y):
                     return _error(500, "forward pass broke the response contract")
                 y = _strip_route_tags(server.left.shape, server.right, x, y)
+                phase = "response encoding"
                 return HttpResponse(200, encode_json(y))
             r = decode_json(server.right.position(y), body)
             phase = "backward pass"
-            out = server.lens.update(v, r)
+            out = back(r)
             phase = "response position"
             if not conforms(server.left.position(x), out.first):
                 return _error(500, "backward pass broke the response contract")
+            phase = "response encoding"
+            resp = HttpResponse(200, encode_json(out.first))
             phase = "state commit"
             p.cell.apply_diff(out.second)
     except (HandlerError, DecodeError) as exc:
@@ -187,7 +190,7 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
         return _error(500, str(exc))
     except Exception as exc:
         return _error(500, f"{phase} failed: {exc}")
-    return HttpResponse(200, encode_json(out.first))
+    return resp
 
 
 # ---------------------------------------------------------------------------

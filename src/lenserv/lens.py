@@ -34,20 +34,14 @@ parallel = dep_parallel
 
 def fst_lens(pair_schema: ProdS) -> DepLens:
     """Focus the first component of a pair schema."""
-    return DepLens(
-        const_of(pair_schema), const_of(pair_schema.left),
-        view=lambda x: x.first,
-        update=lambda x, v: Pair(v, x.second),
-    )
+    return DepLens.from_run(const_of(pair_schema), const_of(pair_schema.left),
+                            lambda x: (x.first, lambda v: Pair(v, x.second)))
 
 
 def snd_lens(pair_schema: ProdS) -> DepLens:
     """Focus the second component of a pair schema."""
-    return DepLens(
-        const_of(pair_schema), const_of(pair_schema.right),
-        view=lambda x: x.second,
-        update=lambda x, v: Pair(x.first, v),
-    )
+    return DepLens.from_run(const_of(pair_schema), const_of(pair_schema.right),
+                            lambda x: (x.second, lambda v: Pair(x.first, v)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ Any lens fits ``s >> l`` and ``l << s``: a plain lens such as
 
 A server is a dependent lens, so composing servers is composing lenses.
 Only ``get_lens``, ``post_lens``, ``state_server``, ``lens_server``,
-``ext_choice`` and ``capture_prefix`` write their own backward pass;
+``ext_choice`` and ``capture_prefix`` write their own ``run``;
 every other combinator is ``dep_compose`` / ``dep_parallel`` over
 identities and small adapters, so the backward threading lives in
 ``deplens`` alone, and so does the one ``BoundaryMismatch`` check.
@@ -44,7 +44,7 @@ from .containers import (
     Container, const_of, coproduct, is_keyed, pinned, product, tensor,
     unit_positions,
 )
-from .deplens import DepLens, dep_identity
+from .deplens import DepLens, _same, dep_identity
 from .values import (
     BoolS, Inl, Inr, IntS, NatS, Pair, ProdS, Schema, TextS, LitS, Unit,
     UnitS,
@@ -103,25 +103,24 @@ class Server:
         return NotImplemented
 
 
-def _server(left, param, right, view, update) -> Server:
-    return Server(left, param, right,
-                  DepLens(tensor(left, param), right, view, update))
+def _server(left, param, right, run) -> Server:
+    return Server(left, param, right, DepLens.from_run(tensor(left, param), right, run))
 
 
 def lens_server(l: DepLens) -> Server:
     """Embed a lens as a server with trivial (unit) state."""
 
-    def update(v, r):
-        return Pair(l.update(v.first, r), v.second)
+    def run(v):
+        y, back = l.run(v.first)
+        return y, lambda r: Pair(back(r), v.second)
 
-    return _server(l.src, const_of(UnitS()), l.dst,
-                   lambda v: l.view(v.first), update)
+    return _server(l.src, const_of(UnitS()), l.dst, run)
 
 
 def reparam_server(s: Server, l: DepLens) -> Server:
     """Change the state interface of ``s`` by running ``l`` in front of
-    it: reads of the old state go through ``l.view``, state diffs come
-    back through ``l.update``."""
+    it: reads of the old state go forward through ``l``, state diffs
+    come back through its backward map."""
     return Server(s.left, l.src, s.right,
                   (dep_identity(s.left) * l) >> s.lens)
 
@@ -131,18 +130,17 @@ def seq_server(a: Server, b: Server) -> Server:
     The composite keeps both states, side by side."""
     param = tensor(a.param, b.param)
     # (x, (sa, sb)) -> ((x, sa), sb), and positions back the other way
-    reassoc = DepLens(
+    reassoc = DepLens.from_run(
         tensor(a.left, param), tensor(tensor(a.left, a.param), b.param),
-        view=lambda v: Pair(Pair(v.first, v.second.first), v.second.second),
-        update=lambda v, p: Pair(p.first.first, Pair(p.first.second, p.second)),
-    )
+        lambda v: (Pair(Pair(v.first, v.second.first), v.second.second),
+                   lambda p: Pair(p.first.first, Pair(p.first.second, p.second))))
     return Server(a.left, param, b.right,
                   reassoc >> (a.lens * dep_identity(b.param)) >> b.lens)
 
 
 def pre_compose(l: DepLens, s: Server) -> Server:
     """Adapt the request interface of ``s`` through ``l``; the
-    response position flows back out through ``l.update``."""
+    response position flows back out through ``l``'s backward map."""
     return Server(l.src, s.param, s.right,
                   (l * dep_identity(s.param)) >> s.lens)
 
@@ -165,12 +163,9 @@ def parallel_server(a: Server, b: Server) -> Server:
         return Pair(Pair(v.first.first, v.second.first),
                     Pair(v.first.second, v.second.second))
 
-    adapter = DepLens(
-        tensor(left, param),
-        tensor(tensor(a.left, a.param), tensor(b.left, b.param)),
-        view=reassoc,
-        update=lambda v, p: reassoc(p),
-    )
+    adapter = DepLens.from_run(
+        tensor(left, param), tensor(tensor(a.left, a.param), tensor(b.left, b.param)),
+        lambda v: (reassoc(v), reassoc))
     return Server(left, param, right, adapter >> (a.lens * b.lens))
 
 
@@ -179,22 +174,18 @@ def ext_choice(a: Server, b: Server) -> Server:
     tag.  States stay separate; a request for one side can only ever
     produce a diff for that side's state."""
 
-    def view(v):
+    def run(v):
         tag, st = v.first, v.second
-        if isinstance(tag, Inl):
-            return Inl(a.lens.view(Pair(tag.value, st.first)))
-        return Inr(b.lens.view(Pair(tag.value, st.second)))
+        side, inject, part = (a, Inl, st.first) if isinstance(tag, Inl) else (b, Inr, st.second)
+        y, back = side.lens.run(Pair(tag.value, part))
 
-    def update(v, r):
-        tag, st = v.first, v.second
-        if isinstance(tag, Inl):
-            out = a.lens.update(Pair(tag.value, st.first), r)
-            return Pair(out.first, Inl(out.second))
-        out = b.lens.update(Pair(tag.value, st.second), r)
-        return Pair(out.first, Inr(out.second))
+        def diff(r):
+            out = back(r)
+            return Pair(out.first, inject(out.second))
+        return inject(y), diff
 
     return _server(coproduct(a.left, b.left), product(a.param, b.param),
-                   coproduct(a.right, b.right), view, update)
+                   coproduct(a.right, b.right), run)
 
 
 def clone_choice(a: Server, b: Server) -> Server:
@@ -202,22 +193,15 @@ def clone_choice(a: Server, b: Server) -> Server:
     sides read the same state; whichever side handles the request also
     writes it; differing state interfaces raise ``BoundaryMismatch``."""
     shared = a.param
-    duplicate = DepLens(
-        shared, product(shared, shared),
-        view=lambda p: Pair(p, p),
-        update=lambda p, d: d.value,  # either side's diff is the diff
-    )
+    duplicate = DepLens.from_run(  # either side's diff is the diff
+        shared, product(shared, shared), lambda p: (Pair(p, p), lambda d: d.value))
     return reparam_server(ext_choice(a, b), duplicate)
 
 
 def state_server(c: Container) -> Server:
     """The whole state as an endpoint: GET returns it, POST replaces
     it (the body schema is the state's own position schema)."""
-
-    def update(v, r):
-        return Pair(Unit(), r)
-
-    return _server(const_of(UnitS()), c, c, lambda v: v.second, update)
+    return _server(const_of(UnitS()), c, c, lambda v: (v.second, lambda r: Pair(Unit(), r)))
 
 
 def _no_change(state: Container, who: str):
@@ -240,13 +224,10 @@ def get_lens(uri: Schema, state: Container, resp: Schema, handler) -> Server:
     """
     unchanged = _no_change(state, "get_lens")
 
-    def view(v):
-        return handler(v.second, v.first)
+    def run(v):
+        return handler(v.second, v.first), lambda r: Pair(Unit(), unchanged(v.second))
 
-    def update(v, r):
-        return Pair(Unit(), unchanged(v.second))
-
-    return _server(unit_positions(uri), state, unit_positions(resp), view, update)
+    return _server(unit_positions(uri), state, unit_positions(resp), run)
 
 
 def post_lens(uri: Schema, state: Container, body: Schema, handler) -> Server:
@@ -257,11 +238,10 @@ def post_lens(uri: Schema, state: Container, body: Schema, handler) -> Server:
     with unit."""
     _no_change(state, "post_lens")
 
-    def update(v, r):
-        return Pair(Unit(), handler(v.second, v.first, r))
+    def run(v):
+        return Unit(), lambda r: Pair(Unit(), handler(v.second, v.first, r))
 
-    return _server(unit_positions(uri), state, pinned(UnitS(), body),
-                   lambda v: Unit(), update)
+    return _server(unit_positions(uri), state, pinned(UnitS(), body), run)
 
 
 def path_prefix(segment: str, s: Server) -> Server:
@@ -269,7 +249,7 @@ def path_prefix(segment: str, s: Server) -> Server:
     lit = LitS(segment)  # validates the segment text
     left = Container(ProdS(lit, s.left.shape),
                      lambda v: s.left.position(v.second))
-    adapter = DepLens(left, s.left, lambda v: v.second, lambda v, p: p)
+    adapter = DepLens.from_run(left, s.left, lambda v: (v.second, _same))
     return pre_compose(adapter, s)
 
 
@@ -284,10 +264,8 @@ def capture_prefix(cap: Schema, s: Server) -> Server:
     right = Container(ProdS(cap, s.right.shape),
                       lambda v: s.right.position(v.second))
 
-    def view(v):
-        return Pair(v.first.first, s.lens.view(Pair(v.first.second, v.second)))
+    def run(v):
+        y, back = s.lens.run(Pair(v.first.second, v.second))
+        return Pair(v.first.first, y), back
 
-    def update(v, r):
-        return s.lens.update(Pair(v.first.second, v.second), r)
-
-    return _server(left, s.param, right, view, update)
+    return _server(left, s.param, right, run)

@@ -56,6 +56,20 @@ def test_calculator_division_by_zero_is_400():
     assert json.loads(r.body) == {"error": "division by zero"}
 
 
+def test_calculator_results_beyond_the_wire_digit_bound_are_400():
+    # A result carries at most as many digits as a capture may have.
+    p = prepare(build_combined())
+    nines = "9" * sys.get_int_max_str_digits()
+    half = nines[: len(nines) // 2 + 1]
+    for path in (f"/calculator/mul/{half}/{half}", f"/calculator/add/{nines}/{nines}"):
+        r = handle_get(p, path)
+        assert r.status == 400
+        assert json.loads(r.body) == {
+            "error": f"result has more than {len(nines)} digits"}
+    r = handle_get(p, f"/calculator/sub/-{nines}/0")
+    assert (r.status, r.body) == (200, f"-{nines}")
+
+
 def test_calculator_routes():
     assert describe_routes(build_calculator().left.shape) == [
         "/add/Int:n1/Int:n2",

@@ -1,10 +1,11 @@
 import json
 import random
+import sys
 
 import pytest
 
 from conftest import counter
-from lenserv.containers import const_of, keyed, pinned, tensor
+from lenserv.containers import const_of, keyed, pinned, tensor, unit_positions
 from lenserv.deplens import DepLens
 from lenserv.engine import (
     EngineConfig,
@@ -182,8 +183,25 @@ def test_contract_breakage_is_500():
     assert p.cell.snapshot() == Int(0)
 
 
+def test_a_response_that_cannot_be_encoded_is_500_and_commits_nothing():
+    big = Int(10 ** sys.get_int_max_str_digits())  # one digit too many to print
+    widen = DepLens(const_of(IntS()), unit_positions(IntS()),
+                    view=lambda x: x, update=lambda x, p: big)
+    srv = widen << post_lens(IntS(), const_of(IntS()), IntS(), lambda st, u, b: b)
+    p = prepare(srv, initial=Int(0))
+    r = handle_post(p, "/5", "7")
+    assert r.status == 500
+    assert json.loads(r.body)["error"].startswith("response encoding failed: ")
+    assert p.cell.snapshot() == Int(0)
+
+    loud = get_lens(UnitS(), const_of(UnitS()), IntS(), lambda st, u: big)
+    r = handle_get(prepare(loud), "/")
+    assert r.status == 500
+    assert json.loads(r.body)["error"].startswith("response encoding failed: ")
+
+
 @pytest.mark.parametrize("depth", [1, 4, 16])
-def test_post_handler_calls_stay_within_one_per_lens_layer(depth):
+def test_a_post_calls_its_handler_once_at_any_depth(depth):
     calls = [0]
 
     def read(st, u):
@@ -196,7 +214,28 @@ def test_post_handler_calls_stay_within_one_per_lens_layer(depth):
     p = prepare(srv, initial=Int(7))
     assert handle_post(p, "/", "null").status == 200
     assert p.cell.snapshot() == Int(7)
-    assert calls[0] <= depth + 1
+    assert calls[0] == 1
+
+
+def test_each_layer_of_a_lens_chain_runs_forward_once_per_request():
+    b = Boundary(IntS(), IntS())
+    runs = [0] * 16
+
+    def counting(i):
+        def view(x):
+            runs[i] += 1
+            return x
+        return DepLens(b, b, view, lambda x, v: v)
+
+    srv = state_server(const_of(IntS()))
+    for i in range(16):
+        srv = srv >> counting(i)
+    p = prepare(srv, initial=Int(7))
+    assert handle_get(p, "/").body == "7"
+    assert runs == [1] * 16
+    assert handle_post(p, "/", "9").status == 200
+    assert runs == [2] * 16
+    assert p.cell.snapshot() == Int(9)
 
 
 def test_state_focused_through_a_parallel_lens_serves():
