@@ -5,7 +5,8 @@ grammar, its state container has a derivable update action), builds the
 initial state, and returns a PreparedServer.  ``handle_get`` and
 ``handle_post`` are pure request->response functions over that value,
 so everything short of sockets is unit-testable; ``serve`` wraps them
-in a threaded stdlib HTTP server.
+in a threaded stdlib HTTP server, which logs each request line at
+DEBUG; ``serve`` itself logs only its start and stop at INFO.
 
 Exactly two methods exist, and both go through one request path.  GET
 runs the lens forward and never touches state.  POST parses the body at
@@ -34,7 +35,6 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import perf_counter
 
 from .routing import NotRoutable, UriParser, parser_for, split_path
 from .servers import HandlerError, Server
@@ -79,10 +79,6 @@ class EngineConfig:
 class HttpResponse:
     status: int
     body: str
-
-    @property
-    def content_type(self) -> str:
-        return "application/json"
 
 
 @dataclass(frozen=True)
@@ -205,7 +201,9 @@ def _make_handler(p: PreparedServer):
         def _content_length(self) -> int | None:
             """The body length, or None when the framing is unusable:
             a value that is not a plain decimal number, or copies of
-            the header that disagree."""
+            the header that disagree.  Leading zeros do not count, and
+            a value longer than ``MAX_BODY_BYTES`` is over it: only one
+            digit more is converted, within ``int``'s digit limit."""
             values = set(self.headers.get_all("Content-Length", ()))
             if not values:
                 return 0
@@ -214,7 +212,7 @@ def _make_handler(p: PreparedServer):
             value = values.pop().strip()
             if not (value.isascii() and value.isdigit()):
                 return None
-            return int(value)
+            return int(value.lstrip("0")[:len(str(MAX_BODY_BYTES)) + 1] or 0)
 
         def _read_body(self) -> bytes | tuple[int, str]:
             """The request body, or the status and reason to refuse a
@@ -242,22 +240,18 @@ def _make_handler(p: PreparedServer):
                 return 400, "request body ended early"
             return raw
 
-        def _finish(self, resp: HttpResponse, started: float) -> None:
+        def _finish(self, resp: HttpResponse) -> None:
             data = resp.body.encode("utf-8")
             self.send_response(resp.status)
-            self.send_header("Content-Type", resp.content_type)
+            self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
             if self.close_connection:
                 self.send_header("Connection", "close")
             self.end_headers()
             if self.command != "HEAD":
                 self.wfile.write(data)
-            _log.info("%s %s -> %d (%.1f ms)", self.command,
-                      getattr(self, "path", ""), resp.status,
-                      (perf_counter() - started) * 1000)
 
         def _dispatch(self) -> None:
-            started = perf_counter()
             raw = self._read_body()
             if isinstance(raw, tuple):
                 self.send_error(*raw)
@@ -272,14 +266,11 @@ def _make_handler(p: PreparedServer):
                     resp = _error(400, "request body is not valid UTF-8")
             else:
                 resp = _error(405, f"method {self.command} not supported")
-            self._finish(resp, started)
-
-        do_GET = _dispatch
-        do_POST = _dispatch
+            self._finish(resp)
 
         def __getattr__(self, name):
-            # every other method (PUT, DELETE, anything) lands in
-            # _dispatch and comes back as a 405
+            # every method (GET, POST, PUT, anything) lands in _dispatch;
+            # all but GET and POST come back as a 405
             if name.startswith("do_"):
                 return self._dispatch
             raise AttributeError(name)
@@ -296,7 +287,7 @@ def _make_handler(p: PreparedServer):
             self.close_connection = True
             self.request_version = self.protocol_version
             reason = message or self.responses.get(code, ("error",))[0]
-            self._finish(_error(code, reason), perf_counter())
+            self._finish(_error(code, reason))
 
         def log_message(self, fmt, *args):
             _log.debug(fmt, *args)

@@ -278,6 +278,31 @@ def test_cli_serve_with_snapshot_roundtrip(tmp_path):
     assert list(tmp_path.iterdir()) == [snap]
 
 
+def test_cli_serve_logs_only_its_start_and_stop():
+    port = free_port()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lenserv.cli", "serve", "--server", "todo", "--port", str(port)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        _wait_for_port(port, proc)
+        from conftest import Client
+
+        c = Client(port)
+        for user in range(10):
+            assert c.post(f"/add/{user}", '"x"') == (200, "null")
+            assert c.get(f"/all/{user}") == (200, '["x"]')
+        c.close()
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0
+    lines = err.splitlines()
+    assert len(lines) == 2, err
+    first, last = lines
+    assert first.endswith(f" listening on 127.0.0.1:{port}")
+    assert last.endswith(" shut down")
+
+
 def test_snapshot_write_that_fails_keeps_the_old_copy(tmp_path, monkeypatch):
     snap = tmp_path / "state.json"
     snap.write_text("[[1,[\"old\"]]]")

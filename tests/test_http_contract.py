@@ -1,11 +1,13 @@
 """The README's HTTP contract as one table of raw exchanges, each sent
 in one ``sendall`` to a fresh engine serving ``conftest.counter`` from
 state 7.  A server that hangs up on its own says ``Connection: close``
-and sends nothing more; a kept connection stays open and quiet."""
+and sends nothing more; a kept connection stays open and quiet.  No
+row may leave an exception unanswered in a handler thread."""
 
 import io
 import json
 import socket
+import sys
 from http.client import HTTPResponse
 from typing import NamedTuple
 
@@ -74,6 +76,12 @@ ROWS = [
           [(400, ERROR)], closes=True)
       for name, v in [("negative", b"-1"), ("non_integer", b"abc"), ("underscored", b"1_0"),
                       ("conflicting", b"1\r\nContent-Length: 2")]),
+    Row("content_length_over_the_digit_limit",
+        req(b"POST /add/1", b"Content-Length: %s\r\n" % (b"1" * 5000)), [(413, ERROR)],
+        closes=True),
+    Row("content_length_leading_zeros",
+        req(b"POST /add/1", b"Content-Length: %s5\r\n" % (b"0" * 5000), b"    3") + PEEK,
+        [(200, "null"), (200, "10")], unchanged=False),
     *(Row(name, req(b"POST /add/1", head + CHUNKED, CHUNKS), [(501, ERROR)], closes=True)
       for name, head in [("chunked", b""), ("chunked_with_length", b"Content-Length: 1\r\n")]),
     Row("bad_request_line", b"GARBAGE\r\n\r\n", [(400, ERROR)], closes=True),
@@ -121,15 +129,23 @@ def served(monkeypatch):
     monkeypatch.setattr(engine, "IDLE_TIMEOUT_S", 1)
     p = prepare(counter(), EngineConfig(port=free_port()), initial=Int(7))
     httpd = serve_background(p)
-    yield p
+    errors = []  # exceptions that escaped a handler and dropped its connection
+
+    def handle_error(request, client_address, report=httpd.handle_error):
+        errors.append(sys.exc_info()[1])
+        report(request, client_address)
+
+    httpd.handle_error = handle_error
+    yield p, errors
     httpd.shutdown()
     httpd.server_close()
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
 def test_contract(served, row):
-    before = served.cell.snapshot()
-    with socket.create_connection(("127.0.0.1", served.config.port), timeout=5) as s:
+    p, errors = served
+    before = p.cell.snapshot()
+    with socket.create_connection(("127.0.0.1", p.config.port), timeout=5) as s:
         s.sendall(row.request)
         if row.half_close:
             s.shutdown(socket.SHUT_WR)
@@ -152,4 +168,5 @@ def test_contract(served, row):
             s.settimeout(0.05)
             with pytest.raises(TimeoutError):  # open, and nothing more
                 answers.read1(1)
-    assert (served.cell.snapshot() == before) == row.unchanged
+    assert (p.cell.snapshot() == before) == row.unchanged
+    assert errors == []
