@@ -31,7 +31,7 @@ from .lens import (
 )
 from .containers import (
     Container, const_of, unit_positions, keyed, pinned, product, coproduct,
-    tensor, agree,
+    tensor, mount, agree,
 )
 from .deplens import DepLens, BoundaryMismatch, dep_identity, dep_compose, dep_parallel
 from .servers import (

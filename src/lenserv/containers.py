@@ -4,13 +4,14 @@ every shape value.
 A container ``(shape, position)`` is the interface of one side of a
 server: shape values travel forward (requests, reads), and for each
 shape value the position schema says what may travel backward at that
-point (bodies, state diffs).  Four ways of combining them cover the
+point (bodies, state diffs).  Five ways of combining them cover the
 whole server algebra:
 
 * ``product``    - both shapes; a position from one side or the other
 * ``coproduct``  - one shape or the other; positions follow the tag
 * ``tensor``     - both shapes; both positions
 * ``pinned``     - positions ignore the shape value entirely
+* ``mount``      - one more path segment in front; positions pass through
 
 State is pinned: a diff replaces the value (``const_of``), changes
 nothing (``unit_positions``) or stores one map entry (``keyed``).
@@ -33,7 +34,7 @@ from .values import (
 
 __all__ = [
     "Container", "const_of", "unit_positions", "keyed", "pinned", "product",
-    "coproduct", "tensor", "agree",
+    "coproduct", "tensor", "mount", "agree",
 ]
 
 
@@ -108,26 +109,43 @@ def tensor(a: Container, b: Container) -> Container:
     return Container(ProdS(a.shape, b.shape), pos, form=("tensor", a, b))
 
 
+def mount(seg: Schema, c: Container) -> Container:
+    """``c`` under one more path segment ``seg``; positions are ``c``'s."""
+    return Container(ProdS(seg, c.shape), lambda v: c.position(v.second), form=("mount", seg, c))
+
+
 AGREE_SAMPLES = 24
 
 
-def agree(a: Container, b: Container) -> bool:
-    """Decide (well, approximate) container equality for composition
-    preconditions: shapes structurally, position families structurally
-    when both carry a form with the same tag, extensionally on sampled
-    shape values otherwise (``tensor(const_of(A), const_of(B))`` is
-    ``const_of(ProdS(A, B))``)."""
+def _disagreement(a: Container, b: Container) -> tuple | None:
+    """The first pair of containers at which ``a`` and ``b`` differ, or
+    None.  Forms with one tag compare part by part: schemas with ``==``
+    (and a pinned pair's shapes, left out of its form), containers by
+    descending.  Other pairs compare shapes, then positions at sampled
+    shapes: ``tensor(const_of(A), const_of(B))`` is ``const_of(ProdS(A, B))``."""
     if a is b:
-        return True
+        return None
+    if a.form and b.form and a.form[0] == b.form[0]:
+        if a.form[0] == "pinned" and a.shape != b.shape:
+            return a, b
+        for x, y in zip(a.form[1:], b.form[1:]):
+            if not isinstance(x, Container):
+                if x != y:
+                    return a, b
+            elif found := _disagreement(x, y):
+                return found
+        return None
     if a.shape != b.shape:
-        return False
-    if a.form is not None and b.form is not None and a.form[0] == b.form[0]:
-        if a.form[0] == "pinned":
-            return a.form[1] == b.form[1]
-        return agree(a.form[1], b.form[1]) and agree(a.form[2], b.form[2])
+        return a, b
     rng = random.Random(7)
     for _ in range(AGREE_SAMPLES):
         v = generate_value(a.shape, rng)
         if a.position(v) != b.position(v):
-            return False
-    return True
+            return a, b
+    return None
+
+
+def agree(a: Container, b: Container) -> bool:
+    """Decide (well, approximate) container equality for composition
+    preconditions: ``a`` and ``b`` have no disagreement."""
+    return _disagreement(a, b) is None

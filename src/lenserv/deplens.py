@@ -12,7 +12,7 @@ on pairs), each part running forward once.
 from dataclasses import dataclass
 from typing import Callable
 
-from .containers import Container, agree, tensor
+from .containers import Container, _disagreement, tensor
 from .values import Pair, Value
 
 
@@ -84,9 +84,9 @@ def dep_compose(a: DepLens, b: DepLens) -> DepLens:
     >>> both.view(Pair(Pair(Int(3), Bool(True)), Text("q")))
     Int(3)
     """
-    if not agree(a.dst, b.src):
-        x, y = _first_disagreement(a.dst, b.src)
-        raise BoundaryMismatch(f"cannot compose: {x!r} does not meet {y!r}")
+    found = _disagreement(a.dst, b.src)
+    if found:
+        raise BoundaryMismatch("cannot compose: %r does not meet %r" % found)
 
     def run(v):
         y, back_a = a.run(v)
@@ -94,16 +94,6 @@ def dep_compose(a: DepLens, b: DepLens) -> DepLens:
         return z, lambda p: back_a(back_b(p))
 
     return DepLens.from_run(a.src, b.dst, run)
-
-
-def _first_disagreement(a: Container, b: Container) -> tuple:
-    """The first component pair at which ``a`` and ``b`` disagree,
-    descending while both are built by the same combinator."""
-    if a.form and b.form and a.form[0] == b.form[0] != "pinned":
-        for x, y in zip(a.form[1:], b.form[1:]):
-            if not agree(x, y):
-                return _first_disagreement(x, y)
-    return a, b
 
 
 def dep_parallel(a: DepLens, b: DepLens) -> DepLens:

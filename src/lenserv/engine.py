@@ -40,8 +40,7 @@ from .routing import NotRoutable, UriParser, parser_for, split_path
 from .servers import HandlerError, Server
 from .state import ActionDerivationError, StateCell, StateContractError, initial_state
 from .values import (
-    DecodeError, Inl, LitS, Pair, ProdS, SumS, Value, conforms, decode_json,
-    encode_json,
+    DecodeError, Inl, Pair, Value, conforms, decode_json, encode_json,
 )
 
 
@@ -116,27 +115,24 @@ def _error(status: int, message: str) -> HttpResponse:
     return HttpResponse(status, '{"error":%s}' % json.dumps(message, ensure_ascii=False))
 
 
-def _strip_route_tags(schema, right, x: Value, y: Value) -> Value:
+def _strip_route_tags(left, right, x: Value, y: Value) -> Value:
     # Choice composition tags a forward value with the branch the
     # request took; the client named that branch in the path, so the tag
-    # is not payload.  The parsed request ``x`` gives the route's tags:
-    # each sum of its schema one, while the response container ``right``
-    # is a coproduct at the same step (else the sum is a handler's own
-    # uri type), walking on past a leading literal segment and stopping
-    # at anything else.  They are stripped from ``y`` while they match;
-    # a tag after them is the payload's own.
-    while True:
-        if isinstance(schema, SumS) and right.form and right.form[0] == "coproduct":
-            if type(x) is not type(y):
-                return y
-            left = isinstance(x, Inl)
-            schema = schema.left if left else schema.right
-            right = right.form[1] if left else right.form[2]
-            x, y = x.value, y.value
-        elif isinstance(schema, ProdS) and isinstance(schema.left, LitS):
-            schema, x = schema.right, x.second
-        else:
-            return y
+    # is not payload.  Walking the request and response containers
+    # together: a coproduct on both sides is such a choice, and its tag
+    # is dropped while the request's tag matches; a mount on the request
+    # side is a path segment to walk past, and one on the response side
+    # too is a typed capture, whose echoed value stays.  Anything else
+    # ends the route: a tag below it is the payload's own.
+    lf, rf = left.form or ("",), right.form or ("",)
+    if lf[0] == rf[0] == "coproduct" and type(x) is type(y):
+        i = 1 if isinstance(x, Inl) else 2
+        return _strip_route_tags(lf[i], rf[i], x.value, y.value)
+    if lf[0] == "mount" and rf[0] == "mount":
+        return Pair(y.first, _strip_route_tags(lf[2], rf[2], x.second, y.second))
+    if lf[0] == "mount":
+        return _strip_route_tags(lf[2], right, x.second, y)
+    return y
 
 
 def _route(p: PreparedServer, path: str) -> Value | None:
@@ -167,7 +163,7 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
             if body is None:
                 if not conforms(server.right.shape, y):
                     return _error(500, "forward pass broke the response contract")
-                y = _strip_route_tags(server.left.shape, server.right, x, y)
+                y = _strip_route_tags(server.left, server.right, x, y)
                 phase = "response encoding"
                 return HttpResponse(200, encode_json(y))
             r = decode_json(server.right.position(y), body)

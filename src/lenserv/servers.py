@@ -8,12 +8,13 @@ POST to that path answers with), ``param`` is the state interface, and
 positions are POST request bodies).  The server itself is one dependent
 lens from ``tensor(left, param)`` to ``right``: reads go forward,
 writes come backward as a response position and leave as a state diff.
+Each combinator below builds its boundaries from ``containers``' combinators alone.
 
 Composition is the whole point.  The combinators below compose routing,
 handlers, and state in one move, and each has an operator spelling:
 
-    "seg" / s      prefix a literal path segment
-    NatS() / s     prefix a typed capture, echoed into the response
+    "seg" / s      mount s under a literal path segment (on the request)
+    NatS() / s     mount s under a typed capture (on request and response)
     a & b          merge two servers over one shared state
     a + b          juxtapose two servers with separate states
     a >> b         chain servers; a's responses feed b's requests
@@ -41,13 +42,12 @@ the HTTP engine turns that into a 400 response.
 from dataclasses import dataclass
 
 from .containers import (
-    Container, const_of, coproduct, is_keyed, pinned, product, tensor,
+    Container, const_of, coproduct, is_keyed, mount, pinned, product, tensor,
     unit_positions,
 )
 from .deplens import DepLens, _same, dep_identity
 from .values import (
-    BoolS, Inl, Inr, IntS, NatS, Pair, ProdS, Schema, TextS, LitS, Unit,
-    UnitS,
+    BoolS, Inl, Inr, IntS, NatS, Pair, Schema, TextS, LitS, Unit, UnitS,
 )
 
 
@@ -246,9 +246,7 @@ def post_lens(uri: Schema, state: Container, body: Schema, handler) -> Server:
 
 def path_prefix(segment: str, s: Server) -> Server:
     """Mount ``s`` under a fixed path segment."""
-    lit = LitS(segment)  # validates the segment text
-    left = Container(ProdS(lit, s.left.shape),
-                     lambda v: s.left.position(v.second))
+    left = mount(LitS(segment), s.left)  # LitS validates the segment text
     adapter = DepLens.from_run(left, s.left, lambda v: (v.second, _same))
     return pre_compose(adapter, s)
 
@@ -259,13 +257,9 @@ def capture_prefix(cap: Schema, s: Server) -> Server:
     composition can still see it; positions pass through untouched."""
     if not isinstance(cap, (IntS, NatS, TextS, BoolS)):
         raise ValueError(f"captures must be Int/Nat/Text/Bool segments, got {cap!r}")
-    left = Container(ProdS(cap, s.left.shape),
-                     lambda v: s.left.position(v.second))
-    right = Container(ProdS(cap, s.right.shape),
-                      lambda v: s.right.position(v.second))
 
     def run(v):
         y, back = s.lens.run(Pair(v.first.second, v.second))
         return Pair(v.first.first, y), back
 
-    return _server(left, s.param, right, run)
+    return _server(mount(cap, s.left), s.param, mount(cap, s.right), run)

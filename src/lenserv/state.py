@@ -66,6 +66,8 @@ def derive_action(c: Container) -> Callable[[Value, Value], Value]:
         raise ActionDerivationError(
             f"pinned container {c!r}: positions {pos!r} are neither the "
             f"shape, unit, nor one entry of a map, so diffs have no meaning as updates")
+    if tag not in ("tensor", "coproduct", "product"):
+        raise ActionDerivationError(f"unknown container form {tag!r} in {c!r}")
     a = derive_action(c.form[1])
     b = derive_action(c.form[2])
     if tag == "tensor":
@@ -78,14 +80,12 @@ def derive_action(c: Container) -> Callable[[Value, Value], Value]:
             if isinstance(v, Inl):
                 return Inl(a(v.value, p))
             return Inr(b(v.value, p))
-    elif tag == "product":
+    else:
         # The diff's tag picks the component; the other is untouched.
         def act(v, p):
             if isinstance(p, Inl):
                 return Pair(a(v.first, p.value), v.second)
             return Pair(v.first, b(v.second, p.value))
-    else:
-        raise ActionDerivationError(f"unknown container form {tag!r} in {c!r}")
     return act
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import free_port, running
 from lenserv.cli import _save, main
+from lenserv.containers import Container
 from lenserv.demos import DEMOS, build_calculator, build_combined, build_iot, build_todo
 from lenserv.engine import handle_get, handle_post, prepare
 from lenserv.routing import describe_routes
@@ -186,6 +187,23 @@ def test_combined_unprefixed_paths_do_not_exist():
     assert handle_get(p, "/add/2/3").status == 404
     assert handle_get(p, "/boiler").status == 404
     assert handle_get(p, "/all/7").status == 404
+
+
+def _formless(c):
+    """``c`` and every container inside its form that has no form."""
+    if c.form is None:
+        yield c
+    else:
+        for part in c.form[1:]:
+            if isinstance(part, Container):
+                yield from _formless(part)
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_every_container_of_a_demo_carries_a_form(name):
+    s = DEMOS[name]()
+    for c in (s.left, s.param, s.right):
+        assert list(_formless(c)) == [], c
 
 
 # ------------------------------------------------------------------------ cli

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import counter
-from lenserv.containers import const_of, keyed, pinned, tensor, unit_positions
+from lenserv.containers import const_of, coproduct, keyed, pinned, tensor, unit_positions
 from lenserv.deplens import DepLens
 from lenserv.engine import (
     EngineConfig,
@@ -41,6 +41,7 @@ from lenserv.values import (
     SumS,
     Text,
     TextS,
+    Unit,
     UnitS,
     encode_json,
 )
@@ -289,11 +290,23 @@ def test_get_responses_drop_route_tags():
     p = prepare(counter(), initial=Int(9))
     # /peek goes through a choice, but the payload is plain
     assert handle_get(p, "/peek").body == "9"
+    # under a typed capture too, which keeps its echoed value
+    p = prepare(IntS() / counter(), initial=Int(9))
+    assert handle_get(p, "/5/peek").body == "[5,9]"
 
 
 _EITHER = SumS(IntS(), TextS())
 _SUM_STATE = "s" / state_server(const_of(_EITHER))
 _URI_SUM = SumS(ProdS(LitS("a"), UnitS()), ProdS(LitS("b"), UnitS()))
+_XY = SumS(ProdS(LitS("x"), IntS()), ProdS(LitS("y"), IntS()))
+# /x/<n> and /y/<n> both go to the left branch for odd n, the right for
+# even n: the path names no choice of ``&``, so no tag is dropped.
+_BY_PARITY = DepLens(pinned(_XY, UnitS()),
+                     coproduct(unit_positions(IntS()), unit_positions(IntS())),
+                     view=lambda v: (Inl if v.value.second.i % 2 else Inr)(v.value.second),
+                     update=lambda v, p: p)
+_ONE_TWO = _BY_PARITY << (get_lens(IntS(), const_of(UnitS()), IntS(), lambda st, n: Int(1))
+                          & get_lens(IntS(), const_of(UnitS()), IntS(), lambda st, n: Int(2)))
 
 
 @pytest.mark.parametrize("server, initial, path, body", [
@@ -307,8 +320,13 @@ _URI_SUM = SumS(ProdS(LitS("a"), UnitS()), ProdS(LitS("b"), UnitS()))
     ("k" / get_lens(_URI_SUM, const_of(IntS()), SumS(_URI_SUM, IntS()),
                     lambda st, x: Inl(x)),
      Int(0), "/k/a", '{"L":{"L":["a",null]}}'),
+    (_ONE_TWO, Unit(), "/x/5", '{"L":1}'),
+    (_ONE_TWO, Unit(), "/x/4", '{"R":2}'),
+    (_ONE_TWO, Unit(), "/y/5", '{"L":1}'),
+    (_ONE_TWO, Unit(), "/y/4", '{"R":2}'),
 ], ids=["alone", "under_ext_choice", "get_lens_under_clone_choice",
-        "handler_uri_sum"])
+        "handler_uri_sum", "adapter_x_odd", "adapter_x_even", "adapter_y_odd",
+        "adapter_y_even"])
 def test_get_keeps_the_tags_of_a_sum_payload(server, initial, path, body):
     # Only the tags of the choices the path went through are dropped.
     p = prepare(server, initial=initial)

@@ -30,9 +30,10 @@ from generators import (
 )
 from lenserv.containers import product
 from lenserv.deplens import DepLens
+from lenserv.engine import handle_get, prepare
 from lenserv.routing import describe_routes, parse_uri
 from lenserv.servers import reparam_server
-from lenserv.values import Inl, Pair, Schema, encode_json
+from lenserv.values import Inl, IntS, Pair, Schema, encode_json
 
 
 SEEDS = range(64)
@@ -178,6 +179,24 @@ def test_6_every_drawn_route_renders_to_a_path_that_parses_back(runs):
         for e in log:
             if e.request is not None:
                 assert parse_uri(node.server.left.shape, e.path) == e.request, e
+
+
+def test_7_a_route_answers_the_same_under_any_mount(runs):
+    # ... literal or typed: a typed capture pairs its value on in front.
+    # Counted are the GETs whose answer dropped a choice's tag below
+    # the mount.
+    checked = 0
+    for node, e in _exchanges(runs, "GET"):
+        if e.status != 200:
+            continue
+        s = node.server
+        lit = handle_get(prepare("mnt" / s, initial=e.before), "/mnt" + e.path)
+        cap = handle_get(prepare(IntS() / s, initial=e.before), "/7" + e.path)
+        assert (lit.status, lit.body) == (200, e.answer), e
+        assert (cap.status, cap.body) == (200, f"[7,{e.answer}]"), e
+        if e.request is not None and encode_json(s.lens.view(Pair(e.request, e.before))) != e.answer:
+            checked += 1
+    assert checked >= 400
 
 
 def _golden(runs) -> bytes:

@@ -201,19 +201,17 @@ def test_post_compose_rejects_mismatch():
 def test_focusing_a_server_checks_its_boundary_once(monkeypatch):
     import lenserv.containers
     import lenserv.deplens
-    import lenserv.servers
 
-    # Count top-level checks only: agree's own recursion goes through
+    # Count top-level walks only: the walk's own recursion goes through
     # lenserv.containers, which is left alone.
     calls = []
-    real = lenserv.containers.agree
+    real = lenserv.containers._disagreement
 
     def counting(a, b):
         calls.append((a, b))
         return real(a, b)
 
-    for module in (lenserv.deplens, lenserv.servers):
-        monkeypatch.setattr(module, "agree", counting, raising=False)
+    monkeypatch.setattr(lenserv.deplens, "_disagreement", counting)
     a, b = ProdS(IntS(), BoolS()), ProdS(TextS(), IntS())
     state_server(const_of(ProdS(a, b))) >> (fst_lens(a) * snd_lens(b))
     assert len(calls) == 1

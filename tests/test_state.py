@@ -5,7 +5,8 @@ import pytest
 
 from generators import TODO
 from lenserv.containers import (
-    Container, const_of, coproduct, keyed, pinned, product, tensor, unit_positions,
+    Container, const_of, coproduct, keyed, mount, pinned, product, tensor,
+    unit_positions,
 )
 from lenserv.state import (
     ActionDerivationError,
@@ -23,6 +24,7 @@ from lenserv.values import (
     IntS,
     List,
     ListS,
+    LitS,
     Map,
     MapS,
     Nat,
@@ -112,6 +114,8 @@ def test_derive_action_failures():
     with pytest.raises(ActionDerivationError):
         # an entry of another map
         derive_action(pinned(MapS(NatS(), TextS()), SumS(UnitS(), ProdS(NatS(), IntS()))))
+    with pytest.raises(ActionDerivationError):
+        derive_action(mount(LitS("a"), const_of(IntS())))  # a path, not state
     # the error message names the offending container
     try:
         derive_action(product(const_of(IntS()), pinned(IntS(), TextS())))
