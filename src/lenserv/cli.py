@@ -49,6 +49,9 @@ def _cmd_serve(args) -> int:
     if args.snapshot is not None and args.snapshot.exists():
         try:
             initial = decode_json(server.param.shape, args.snapshot.read_text("utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"cannot read snapshot {args.snapshot}: {exc}", file=sys.stderr)
+            return 1
         except DecodeError as exc:
             print(f"snapshot {args.snapshot} does not match the server's "
                   f"state schema: {exc}", file=sys.stderr)

@@ -25,11 +25,12 @@ Any lens fits ``s >> l`` and ``l << s``: a plain lens such as
 ``fst_lens`` is a ``DepLens`` between pinned containers.
 
 A server is a dependent lens, so composing servers is composing lenses.
-Only ``get_lens``, ``post_lens``, ``state_server``, ``lens_server``,
-``ext_choice`` and ``capture_prefix`` write their own ``run``;
-every other combinator is ``dep_compose`` / ``dep_parallel`` over
-identities and small adapters, so the backward threading lives in
-``deplens`` alone, and so does the one ``BoundaryMismatch`` check.
+Only the endpoints (``get_lens``, ``post_lens``, ``state_server``,
+``lens_server``), ``clone_choice`` and the two prefixes write their own
+``run``, each calling the one server it routes to; ``a + b`` is ``a & b``
+after projecting the product state onto each side.  Every other
+combinator is ``dep_compose`` / ``dep_parallel`` over identities and
+small adapters, so the backward threading lives in ``deplens`` alone.
 
 ``get_lens`` and ``post_lens`` take const or keyed state; a
 ``post_lens`` handler returns the whole new value or one map entry.
@@ -42,10 +43,10 @@ the HTTP engine turns that into a 400 response.
 from dataclasses import dataclass
 
 from .containers import (
-    Container, const_of, coproduct, is_keyed, mount, pinned, product, tensor,
-    unit_positions,
+    Container, _disagreement, const_of, coproduct, is_keyed, mount, pinned, product,
+    tensor, unit_positions,
 )
-from .deplens import DepLens, _same, dep_identity
+from .deplens import BoundaryMismatch, DepLens, dep_identity
 from .values import (
     BoolS, Inl, Inr, IntS, NatS, Pair, Schema, TextS, LitS, Unit, UnitS,
 )
@@ -172,30 +173,29 @@ def parallel_server(a: Server, b: Server) -> Server:
 def ext_choice(a: Server, b: Server) -> Server:
     """External choice: route to one server or the other by the request
     tag.  States stay separate; a request for one side can only ever
-    produce a diff for that side's state."""
-
-    def run(v):
-        tag, st = v.first, v.second
-        side, inject, part = (a, Inl, st.first) if isinstance(tag, Inl) else (b, Inr, st.second)
-        y, back = side.lens.run(Pair(tag.value, part))
-
-        def diff(r):
-            out = back(r)
-            return Pair(out.first, inject(out.second))
-        return inject(y), diff
-
-    return _server(coproduct(a.left, b.left), product(a.param, b.param),
-                   coproduct(a.right, b.right), run)
+    produce a diff for that side's state: ``&`` over the product state."""
+    both = product(a.param, b.param)
+    first = DepLens.from_run(both, a.param, lambda st: (st.first, Inl))
+    second = DepLens.from_run(both, b.param, lambda st: (st.second, Inr))
+    return clone_choice(reparam_server(a, first), reparam_server(b, second))
 
 
 def clone_choice(a: Server, b: Server) -> Server:
     """External choice between two servers that share one state.  Both
     sides read the same state; whichever side handles the request also
-    writes it; differing state interfaces raise ``BoundaryMismatch``."""
-    shared = a.param
-    duplicate = DepLens.from_run(  # either side's diff is the diff
-        shared, product(shared, shared), lambda p: (Pair(p, p), lambda d: d.value))
-    return reparam_server(ext_choice(a, b), duplicate)
+    writes it, so its diff is the diff; differing state interfaces raise
+    ``BoundaryMismatch``."""
+    found = _disagreement(a.param, b.param)
+    if found:
+        raise BoundaryMismatch("cannot compose: %r does not meet %r" % found)
+
+    def run(v):
+        tag = v.first
+        side, inject = (a, Inl) if isinstance(tag, Inl) else (b, Inr)
+        y, back = side.lens.run(Pair(tag.value, v.second))
+        return inject(y), back
+
+    return _server(coproduct(a.left, b.left), a.param, coproduct(a.right, b.right), run)
 
 
 def state_server(c: Container) -> Server:
@@ -247,8 +247,7 @@ def post_lens(uri: Schema, state: Container, body: Schema, handler) -> Server:
 def path_prefix(segment: str, s: Server) -> Server:
     """Mount ``s`` under a fixed path segment."""
     left = mount(LitS(segment), s.left)  # LitS validates the segment text
-    adapter = DepLens.from_run(left, s.left, lambda v: (v.second, _same))
-    return pre_compose(adapter, s)
+    return _server(left, s.param, s.right, lambda v: s.lens.run(Pair(v.first.second, v.second)))
 
 
 def capture_prefix(cap: Schema, s: Server) -> Server:

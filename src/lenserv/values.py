@@ -279,9 +279,18 @@ _SCALAR_KINDS = {
     IntS: (Int, lambda o: o.__class__ is int, 0, lambda rng: rng.randint(-1000, 1000), None),
     NatS: (Nat, lambda o: o.__class__ is int and o >= 0, 0, lambda rng: rng.randint(0, 1000),
            None),
-    TextS: (Text, lambda o: o.__class__ is str, "",
+    TextS: (Text, lambda o: o.__class__ is str and (o.isascii() or _utf8(o)), "",
             lambda rng: "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 8))), None),
 }
+
+
+def _utf8(o: str) -> bool:
+    """Whether ``o`` encodes as UTF-8, as every answer and snapshot must."""
+    try:
+        o.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _mismatch(s: Schema, o):

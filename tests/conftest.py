@@ -32,11 +32,13 @@ append_lens = DepLens(
 
 
 def counter():
-    """GET /peek reads an int; POST /add/<n> with body b adds n*b."""
+    """GET /peek reads an int; POST /add/<n> with body b adds n*b;
+    POST /tally with a text body adds its length."""
     c = const_of(IntS())
     read = get_lens(UnitS(), c, IntS(), lambda st, u: st)
     add = post_lens(IntS(), c, IntS(), lambda st, n, body: Int(st.i + n.i * body.i))
-    return ("peek" / read) & ("add" / add)
+    tally = post_lens(UnitS(), c, TextS(), lambda st, u, body: Int(st.i + len(body.s)))
+    return ("peek" / read) & ("add" / add) & ("tally" / tally)
 
 
 def free_port() -> int:

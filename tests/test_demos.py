@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import free_port, running
+from lenserv import cli
 from lenserv.cli import _save, main
 from lenserv.containers import Container
 from lenserv.demos import DEMOS, build_calculator, build_combined, build_iot, build_todo
@@ -340,6 +341,32 @@ def test_cli_serve_rejects_bad_snapshot(tmp_path):
     snap.write_text('{"not": "a map"}')
     assert main(["serve", "--server", "todo", "--port", str(free_port()),
                  "--snapshot", str(snap)]) == 1
+
+
+def test_cli_serve_rejects_a_snapshot_holding_a_lone_surrogate(tmp_path, capsys, monkeypatch):
+    # It could be neither answered over the wire nor saved back.
+    def serve(p):
+        raise AssertionError("served a state holding a lone surrogate")
+
+    monkeypatch.setattr(cli, "serve", serve)
+    snap = tmp_path / "surrogate.json"
+    snap.write_text('[[1,["\\ud800"]]]')
+    assert main(["serve", "--server", "todo", "--port", str(free_port()),
+                 "--snapshot", str(snap)]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.write_bytes(b"[[1,[\"\xff\"]]]"),
+    lambda path: path.mkdir(),
+], ids=["not_utf8", "a_directory"])
+def test_cli_serve_reports_an_unreadable_snapshot(tmp_path, capsys, make):
+    snap = tmp_path / "state.json"
+    make(snap)
+    assert main(["serve", "--server", "todo", "--port", str(free_port()),
+                 "--snapshot", str(snap)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read snapshot {snap}: ") and len(err.splitlines()) == 1
 
 
 def test_cli_serve_rejects_bad_port():

@@ -62,6 +62,7 @@ ROWS = [
     Row("head_405_no_body", req(b"HEAD /peek"), [(405, "")]),
     Row("get_with_a_body", req(b"GET /peek", LENGTH % 7, b"[1,2,3]"), [(200, "7")]),
     Row("bad_utf8_body", post(b"/add/1", b"\xff\xfe"), [(400, ERROR)]),
+    Row("lone_surrogate_text", post(b"/tally", b'"\\ud800"') + PEEK, [(400, ERROR), (200, "7")]),
     Row("raw_bad_utf8_path", req(b"GET /peek\xff"), [(404, ERROR)]),
     Row("int_capture_over_the_digit_limit", req(b"GET /add/" + b"9" * 5000) + PEEK,
         [(404, ERROR), (200, "7")]),

@@ -1,12 +1,15 @@
 import random
+import sys
 
 import pytest
 
+import lenserv.deplens
 from lenserv.containers import (
     Container, const_of, keyed, pinned, product, tensor, unit_positions,
 )
 from lenserv.deplens import BoundaryMismatch, DepLens
 from lenserv.lens import fst_lens, snd_lens
+from lenserv.routing import parse_uri
 from lenserv.servers import (
     HandlerError,
     Server,
@@ -388,11 +391,44 @@ def test_ext_choice_update_ignores_the_other_sides_state():
         assert one == two
 
 
+def test_ext_choice_matches_a_hand_rolled_reference():
+    # The run ext_choice had before it became clone_choice over the
+    # product state: each side sees its own component, and the handling
+    # side's diff comes back tagged with that side.
+    a, _ = _counter_pair()
+    b = post_lens(IntS(), const_of(BoolS()), BoolS(), lambda st, n, body: Bool(st.b != body.b))
+    chosen = ext_choice(a, b)
+
+    def ref_view(x, st):
+        if isinstance(x, Inl):
+            return Inl(a.lens.view(Pair(x.value, st.first)))
+        return Inr(b.lens.view(Pair(x.value, st.second)))
+
+    def ref_update(x, st, r):
+        if isinstance(x, Inl):
+            out = a.lens.update(Pair(x.value, st.first), r)
+            return Pair(out.first, Inl(out.second))
+        out = b.lens.update(Pair(x.value, st.second), r)
+        return Pair(out.first, Inr(out.second))
+
+    rng = random.Random(23)
+    for _ in range(1000):
+        x = generate_value(chosen.left.shape, rng)
+        st = generate_value(chosen.param.shape, rng)
+        y = chosen.lens.view(Pair(x, st))
+        assert y == ref_view(x, st)
+        r = generate_value(chosen.right.position(y), rng)
+        assert chosen.lens.update(Pair(x, st), r) == ref_update(x, st, r)
+
+
 def test_clone_choice_requires_a_shared_state_interface():
     a, _ = _counter_pair()
     other = post_lens(IntS(), const_of(BoolS()), BoolS(), lambda st, n, b: b)
     with pytest.raises(BoundaryMismatch):
         clone_choice(a, other)
+    with pytest.raises(BoundaryMismatch) as err:
+        a & other
+    assert str(err.value) == f"cannot compose: {a.param!r} does not meet {other.param!r}"
 
 
 def test_clone_choice_matches_a_hand_rolled_reference():
@@ -421,6 +457,30 @@ def test_clone_choice_matches_a_hand_rolled_reference():
         assert y == ref_view(x, st)
         r = generate_value(merged.right.position(y), rng)
         assert merged.lens.update(Pair(x, st), r) == ref_update(x, st, r)
+
+
+def test_choice_and_literal_prefixes_call_their_server_directly():
+    # No compose, parallel or adapter lens runs between a request and
+    # the endpoint it names: a GET and a POST make no call into deplens.
+    a, b = _counter_pair()
+    s = "p" / (("a" / a) & ("b" / b))
+    get = Pair(parse_uri(s.left.shape, "/p/a/1"), Int(10))
+    post = Pair(parse_uri(s.left.shape, "/p/b/1"), Int(10))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == lenserv.deplens.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        y, _ = s.lens.run(get)
+        _, back = s.lens.run(post)
+        diff = back(Int(5))
+    finally:
+        sys.setprofile(None)
+    assert (y, diff) == (Inl(Int(11)), Pair(Unit(), Int(5)))
+    assert calls == []
 
 
 # ------------------------------------------------------------------ prefixes

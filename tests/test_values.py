@@ -133,6 +133,8 @@ def test_decode_examples():
     assert decode_json(ListS(BoolS()), "[true,false]") == List(
         (Bool(True), Bool(False))
     )
+    # an escaped surrogate pair is one character; non-ASCII text is fine
+    assert decode_json(TextS(), '"\\ud83d\\ude00 \u00e9"') == Text("\U0001f600 \u00e9")
 
 
 @pytest.mark.parametrize(
@@ -146,6 +148,8 @@ def test_decode_examples():
         (BoolS(), "1"),
         (UnitS(), "0"),
         (TextS(), "5"),
+        (TextS(), '"\\ud800"'),  # a lone surrogate is not UTF-8-encodable
+        (MapS(TextS(), IntS()), '[["a\\udfff",1]]'),
         (ProdS(IntS(), IntS()), "[1]"),
         (ProdS(IntS(), IntS()), "[1,2,3]"),
         (SumS(IntS(), IntS()), '{"X":1}'),
