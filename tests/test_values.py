@@ -148,8 +148,6 @@ def test_decode_examples():
         (BoolS(), "1"),
         (UnitS(), "0"),
         (TextS(), "5"),
-        (TextS(), '"\\ud800"'),  # a lone surrogate is not UTF-8-encodable
-        (MapS(TextS(), IntS()), '[["a\\udfff",1]]'),
         (ProdS(IntS(), IntS()), "[1]"),
         (ProdS(IntS(), IntS()), "[1,2,3]"),
         (SumS(IntS(), IntS()), '{"X":1}'),
@@ -158,6 +156,8 @@ def test_decode_examples():
         (MapS(NatS(), IntS()), "[[1,2],[1,3]]"),  # duplicate key
         (IntS(), "not json"),
         (LitS("add"), '"sub"'),
+        (TextS(), '"\\ud800"'),  # a lone surrogate is not UTF-8-encodable
+        (MapS(TextS(), IntS()), '[["a\\udfff",1]]'),
     ],
 )
 def test_decode_rejections(schema, text):
