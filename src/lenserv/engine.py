@@ -4,9 +4,10 @@
 grammar, its state container has a derivable update action), builds the
 initial state, and returns a PreparedServer.  ``handle_get`` and
 ``handle_post`` are pure request->response functions over that value,
-so everything short of sockets is unit-testable; ``serve`` wraps them
-in a threaded stdlib HTTP server, which logs each request line at
-DEBUG; ``serve`` itself logs only its start and stop at INFO.
+so everything short of sockets is unit-testable; ``serve`` reads HTTP/1.1
+for them on a thread per connection, and logs only its start and stop.
+Each response leaves in two writes, head then body, so a peer that holds
+back its ACK of the head stalls the body ~40 ms under Nagle's algorithm.
 
 Exactly two methods exist, and both go through one request path.  GET
 runs the lens forward and never touches state.  POST parses the body at
@@ -22,19 +23,23 @@ a failed phase (forward pass, backward pass, response position, response
 encoding, state commit): a library or handler bug, never a client
 mistake.  A request whose end cannot be found, or whose body never
 arrives whole, is refused and the connection closed: 400 a malformed
-request line, header line or ``Content-Length``, or a body cut short by
-the peer; 408 a body that stops arriving for ``IDLE_TIMEOUT_S``; 413 a
-body announced over ``MAX_BODY_BYTES`` (1 MiB; unread); 501 a body sent
-with ``Transfer-Encoding`` (unread).
+request line (HTTP/0.9's too), header line or ``Content-Length``, or a
+body cut short by the peer; 408 a body that stops arriving for
+``IDLE_TIMEOUT_S``; 413 a body announced over ``MAX_BODY_BYTES`` (1 MiB;
+unread); 501 a body sent with ``Transfer-Encoding`` (unread).
 Every response body is JSON; errors look like ``{"error": "..."}``.
 """
 
 import json
 import logging
+import re
+import socketserver
 import threading
-from contextlib import nullcontext
+import time
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from wsgiref.handlers import format_date_time
 
 from .routing import NotRoutable, UriParser, parser_for, split_path
 from .servers import HandlerError, Server
@@ -112,7 +117,8 @@ def prepare(server: Server, config: EngineConfig | None = None,
 
 
 def _error(status: int, message: str) -> HttpResponse:
-    return HttpResponse(status, '{"error":%s}' % json.dumps(message, ensure_ascii=False))
+    # ASCII escapes carry any message, a lone surrogate's included.
+    return HttpResponse(status, '{"error":%s}' % json.dumps(message))
 
 
 def _strip_route_tags(left, right, x: Value, y: Value) -> Value:
@@ -186,140 +192,134 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
 
 
 # ---------------------------------------------------------------------------
-# Socket layer
+# Socket layer: HTTP/1.1 framing (RFC 9112), one thread per connection.
+# The contract's limits: 64 KiB per request or header line, under 100 header lines.
+_MAX_LINE, _MAX_HEADERS = 1 << 16, 100
+_REQUEST_LINE = re.compile(r"(\S+)\s+(\S+)\s+HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
-def _make_handler(p: PreparedServer):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        timeout = IDLE_TIMEOUT_S  # reap idle keep-alive connections
+class _Refused(Exception):
+    """``(status, reason)``: answer the request, then hang up."""
 
-        def _content_length(self) -> int | None:
-            """The body length, or None when the framing is unusable:
-            a value that is not a plain decimal number, or copies of
-            the header that disagree.  Leading zeros do not count, and
-            a value longer than ``MAX_BODY_BYTES`` is over it: only one
-            digit more is converted, within ``int``'s digit limit."""
-            values = set(self.headers.get_all("Content-Length", ()))
-            if not values:
-                return 0
-            if len(values) > 1:
-                return None
-            value = values.pop().strip()
-            if not (value.isascii() and value.isdigit()):
-                return None
-            return int(value.lstrip("0")[:len(str(MAX_BODY_BYTES)) + 1] or 0)
 
-        def _read_body(self) -> bytes | tuple[int, str]:
-            """The request body, or the status and reason to refuse a
-            request whose end cannot be found or whose body never
-            arrived whole."""
-            if self.headers.defects or any("\n" in v for _, v in self.headers.raw_items()):
-                # The stdlib parser turns a line without a colon, and
-                # every line after it, into payload, and a folded line
-                # into part of the value above it: a Content-Length or
-                # Transfer-Encoding there would go unseen.
-                return 400, "malformed header line"
-            if "Transfer-Encoding" in self.headers:
-                # Chunked bodies are not decoded; refuse unread.
-                return 501, "Transfer-Encoding is not supported"
-            length = self._content_length()
-            if length is None:
-                return 400, "invalid Content-Length"
-            if length > MAX_BODY_BYTES:
-                return 413, "request body too large"  # refuse unread
+def _content_length(values: list[str]) -> int:
+    """The body length.  Refused: copies that disagree or a value not
+    plain decimal digits (400), and over ``MAX_BODY_BYTES`` (413, unread).
+    Past leading zeros, one digit more than the limit's is read at most."""
+    value, *others = set(values) or {"0"}
+    if others or not (value.isascii() and value.isdigit()):
+        raise _Refused(400, "invalid Content-Length")
+    length = int(value.lstrip("0")[:len(str(MAX_BODY_BYTES)) + 1] or 0)
+    if length > MAX_BODY_BYTES:
+        raise _Refused(413, "request body too large")
+    return length
+
+
+class _Connection(socketserver.StreamRequestHandler):
+    """One keep-alive connection: read a request, answer it, repeat."""
+
+    def handle(self) -> None:
+        self.connection.settimeout(IDLE_TIMEOUT_S)  # reap idle connections
+        try:
+            while self._exchange(self.server.prepared):
+                pass
+        except _Refused as exc:
+            self._send(_error(*exc.args), True)
+        except (EOFError, TimeoutError, ConnectionError):
+            pass  # the peer left, or went quiet before a whole head
+
+    def _line(self, too_long: int) -> str:
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _Refused(too_long, "line too long")
+        if not line:
+            raise EOFError
+        return line.decode("latin-1").rstrip("\r\n")
+
+    def _exchange(self, p: PreparedServer) -> bool:
+        """Read one request and answer it; whether the connection stays."""
+        self.method = None  # until the request line parses; no HEAD answer has a body
+        line = self._line(414) or self._line(414)  # RFC 9112 §2.2: skip one CRLF
+        request = _REQUEST_LINE.fullmatch(line.strip())
+        major = int(request[3]) if request else 0
+        if major > 1:
+            raise _Refused(505, "HTTP version not supported")
+        if major != 1:  # HTTP/0.9's two-word line too
+            raise _Refused(400, "malformed request line")
+        self.method, path, minor = request[1], request[2], int(request[4])
+        headers = {}
+        for _ in range(_MAX_HEADERS):
+            if not (line := self._line(431)):
+                break
+            name, colon, value = line.partition(":")
+            if not colon or name.split() != [name]:  # no colon, or a folded or spaced name
+                raise _Refused(400, "malformed header line")
+            headers.setdefault(name.lower(), []).append(value.strip())
+        else:
+            raise _Refused(431, "too many header lines")
+        connection = headers.get("connection", [""])[0].lower()
+        close = connection == "close" or (minor == 0 and connection != "keep-alive")
+        if "transfer-encoding" in headers:  # chunked bodies are not decoded: refuse unread
+            raise _Refused(501, "Transfer-Encoding is not supported")
+        length = _content_length(headers.get("content-length", []))
+        if minor and headers.get("expect", [""])[0].lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise _Refused(408, "request body timed out") from None
+        if len(raw) < length:
+            raise _Refused(400, "request body ended early")
+        if path.startswith("//"):  # one leading slash, as the stdlib reads it
+            path = "/" + path.lstrip("/")
+        path = path.split("?", 1)[0]
+        if self.method == "GET":
+            resp = handle_get(p, path)
+        elif self.method == "POST":
             try:
-                raw = self.rfile.read(length) if length else b""
-            except TimeoutError:
-                return 408, "request body timed out"
-            if len(raw) < length:
-                return 400, "request body ended early"
-            return raw
+                resp = handle_post(p, path, raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                resp = _error(400, "request body is not valid UTF-8")
+        else:
+            resp = _error(405, f"method {self.method} not supported")
+        self._send(resp, close)
+        return not close
 
-        def _finish(self, resp: HttpResponse) -> None:
-            data = resp.body.encode("utf-8")
-            self.send_response(resp.status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            if self.command != "HEAD":
-                self.wfile.write(data)
-
-        def _dispatch(self) -> None:
-            raw = self._read_body()
-            if isinstance(raw, tuple):
-                self.send_error(*raw)
-                return
-            path = self.path.split("?", 1)[0]
-            if self.command == "GET":
-                resp = handle_get(p, path)
-            elif self.command == "POST":
-                try:
-                    resp = handle_post(p, path, raw.decode("utf-8"))
-                except UnicodeDecodeError:
-                    resp = _error(400, "request body is not valid UTF-8")
-            else:
-                resp = _error(405, f"method {self.command} not supported")
-            self._finish(resp)
-
-        def __getattr__(self, name):
-            # every method (GET, POST, PUT, anything) lands in _dispatch;
-            # all but GET and POST come back as a 405
-            if name.startswith("do_"):
-                return self._dispatch
-            raise AttributeError(name)
-
-        def send_error(self, code, message=None, explain=None):
-            # Every framing refusal arrives here: the stdlib's own (bad
-            # request line, oversized headers, unsupported version) and
-            # _read_body's.  Where the refused request ends is unknown,
-            # or its body never came whole, so nothing after it on the
-            # connection can be read as a request: answer in JSON with a
-            # status line, like every other response, and hang up.  A request line that did not
-            # parse leaves the HTTP/0.9 default version, which would
-            # suppress the status line.
-            self.close_connection = True
-            self.request_version = self.protocol_version
-            reason = message or self.responses.get(code, ("error",))[0]
-            self._finish(_error(code, reason))
-
-        def log_message(self, fmt, *args):
-            _log.debug(fmt, *args)
-
-    return Handler
+    def _send(self, resp: HttpResponse, close: bool) -> None:
+        data = resp.body.encode("utf-8")
+        self.wfile.write((
+            f"HTTP/1.1 {resp.status} {HTTPStatus(resp.status).phrase}\r\n"
+            f"Date: {format_date_time(time.time())}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+            + ("Connection: close\r\n" if close else "") + "\r\n").encode("ascii"))
+        if self.method != "HEAD":
+            self.wfile.write(data)
 
 
-def _build(p: PreparedServer) -> ThreadingHTTPServer:
-    httpd = ThreadingHTTPServer(("127.0.0.1", p.config.port), _make_handler(p))
-    # Connection threads must not block shutdown: an idle keep-alive
-    # connection would otherwise pin server_close until its peer went
-    # away.  State integrity does not depend on joining them; every
-    # read-update-write runs inside the cell's lock.
-    httpd.daemon_threads = True
-    httpd.block_on_close = False
-    return httpd
+class _Server(socketserver.ThreadingTCPServer):
+    # An idle keep-alive connection must not pin server_close; no thread
+    # needs joining, as every read-update-write runs inside the cell's lock.
+    daemon_threads = allow_reuse_address = True
+    block_on_close = False
+
+    def __init__(self, p: PreparedServer):
+        super().__init__(("127.0.0.1", p.config.port), _Connection)
+        self.prepared = p
 
 
 def serve(p: PreparedServer) -> None:
     """Serve until interrupted.  A diff is applied under the state lock
     or not at all, so shutdown never leaves state half-written."""
-    httpd = _build(p)
-    _log.info("listening on 127.0.0.1:%d", httpd.server_port)
-    try:
+    with _Server(p) as httpd, suppress(KeyboardInterrupt):
+        _log.info("listening on 127.0.0.1:%d", httpd.server_address[1])
         httpd.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        httpd.server_close()
-        _log.info("shut down")
+    _log.info("shut down")
 
 
-def serve_background(p: PreparedServer) -> ThreadingHTTPServer:
+def serve_background(p: PreparedServer) -> _Server:
     """Start serving on a daemon thread; shut the result down with
     ``shutdown()`` then ``server_close()``.  For tests and demos."""
-    httpd = _build(p)
+    httpd = _Server(p)
     # Poll often, so that shutdown() returns within ~50 ms.
     threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True).start()
     return httpd

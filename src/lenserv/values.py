@@ -312,7 +312,10 @@ def _derive(s: Schema) -> _Kind:
     t = s.__class__
     if t in _SCALAR_KINDS:
         cls, ok, payload, draw, values = _SCALAR_KINDS[t]
-        return _Kind(lambda v: v.__class__ is cls, lambda o: cls(o) if ok(o) else _mismatch(s, o),
+        # A member text must encode as UTF-8, as a decoded one does.
+        member = ((lambda v: v.__class__ is Text and ok(v.s)) if t is TextS
+                  else lambda v: v.__class__ is cls)
+        return _Kind(member, lambda o: cls(o) if ok(o) else _mismatch(s, o),
                      cls(payload), lambda rng: cls(draw(rng)), values)
     if t is UnitS or t is LitS:
         v0 = Unit() if t is UnitS else Text(s.lit)

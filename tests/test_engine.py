@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import counter
+from conftest import counter, running
 from lenserv.containers import const_of, coproduct, keyed, pinned, tensor, unit_positions
 from lenserv.deplens import DepLens
 from lenserv.engine import (
@@ -113,7 +113,7 @@ def test_unknown_route_is_404():
     ("/t/%EF%BF%BD", 200, '"\ufffd"'),
     ("/t/%C3%BF", 200, '"\u00ff"'),
     ("/t/%FF", 404, None),     # an escape that is not UTF-8
-    ("/t/\xff", 404, None),    # a raw 0xFF byte, as http.server reads it (Latin-1)
+    ("/t/\xff", 404, None),    # a raw 0xFF byte, as the engine reads it (Latin-1)
     ("/t/\xc3\xa9", 404, None),  # a raw UTF-8 "\u00e9", read the same way
 ])
 def test_only_well_formed_paths_capture_text(path, status, body):
@@ -199,6 +199,40 @@ def test_a_response_that_cannot_be_encoded_is_500_and_commits_nothing():
     r = handle_get(prepare(loud), "/")
     assert r.status == 500
     assert json.loads(r.body)["error"].startswith("response encoding failed: ")
+
+
+def lone_surrogates():
+    """GET /t answers, POST /w writes, and GET /h refuses with, a text
+    holding a lone surrogate, which UTF-8 cannot carry."""
+    lone = Text("\ud800")
+
+    def refuse(st, u):
+        raise HandlerError(lone.s)
+
+    return (("t" / get_lens(UnitS(), const_of(UnitS()), TextS(), lambda st, u: lone))
+            + ("w" / post_lens(UnitS(), const_of(TextS()), UnitS(), lambda st, u, b: lone))
+            + ("h" / get_lens(UnitS(), const_of(UnitS()), TextS(), refuse)))
+
+
+def test_a_handler_made_lone_surrogate_is_500_and_commits_nothing():
+    p = prepare(lone_surrogates())
+    before = p.cell.snapshot()
+    assert handle_get(p, "/t").status == 500
+    assert handle_post(p, "/w", "null").status == 500
+    assert p.cell.snapshot() == before
+    r = handle_get(p, "/h")
+    assert (r.status, json.loads(r.body)) == (400, {"error": "\ud800"})
+    assert r.body.isascii()
+
+
+def test_a_handler_made_lone_surrogate_gets_a_json_answer_over_a_socket():
+    with running(lone_surrogates()) as (p, client):
+        before = p.cell.snapshot()
+        assert client.get("/t")[0] == 500
+        assert client.post("/w", "null")[0] == 500
+        status, body = client.get("/h")
+        assert (status, json.loads(body)) == (400, {"error": "\ud800"})
+        assert p.cell.snapshot() == before
 
 
 @pytest.mark.parametrize("depth", [1, 4, 16])

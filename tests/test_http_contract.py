@@ -1,13 +1,17 @@
 """The README's HTTP contract as one table of raw exchanges, each sent
-in one ``sendall`` to a fresh engine serving ``conftest.counter`` from
-state 7.  A server that hangs up on its own says ``Connection: close``
-and sends nothing more; a kept connection stays open and quiet.  No
-row may leave an exception unanswered in a handler thread."""
+to a fresh engine serving ``conftest.counter`` from state 7: once in one
+``sendall``, and once more cut into pieces with a pause between them.  A
+server that hangs up on its own says ``Connection: close`` and sends
+nothing more; a kept connection stays open and quiet.  No row may leave
+an exception unanswered in a handler thread."""
 
 import io
 import json
+import random
+import re
 import socket
 import sys
+import time
 from http.client import HTTPResponse
 from typing import NamedTuple
 
@@ -29,6 +33,7 @@ class Row(NamedTuple):
     closes: bool = False
     unchanged: bool = True
     half_close: bool = False
+    then: bytes = b""  # sent only once the interim "100 Continue" has been read
 
 
 def req(start: bytes, head: bytes = b"", body: bytes = b"") -> bytes:
@@ -112,7 +117,26 @@ ROWS = [
         closes=True),
     Row("expect_100_continue", post(b"/add/1", b"2", b"Expect: 100-continue\r\n") + PEEK,
         [(200, "null"), (200, "9")], unchanged=False),
+    Row("http_0_9_request_line", b"GET /peek\r\n\r\n", [(400, ERROR)], closes=True),
+    Row("lowercase_content_length", req(b"POST /add/1", b"content-length: 1\r\n", b"3") + PEEK,
+        [(200, "null"), (200, "10")], unchanged=False),
+    Row("lf_line_ends", b"POST /add/1 HTTP/1.1\nHost: t\nContent-Length: 1\n\n3"
+        + b"GET /peek HTTP/1.1\nHost: t\n\n", [(200, "null"), (200, "10")], unchanged=False),
+    Row("leading_double_slash", req(b"GET //peek"), [(200, "7")]),
+    Row("http_1_0_keep_alive", b"GET /peek HTTP/1.0\r\nConnection: keep-alive\r\n\r\n" + PEEK,
+        [(200, "7"), (200, "7")]),
+    Row("expect_100_continue_waits", req(b"POST /add/1", b"Expect: 100-continue\r\n" + LENGTH % 1),
+        [(200, "null"), (200, "9")], unchanged=False, then=b"2" + PEEK),
+    Row("crlf_before_request_line", b"\r\n" + PEEK, [(200, "7")]),
+    Row("refused_mid_pipeline", PEEK + req(b"POST /add/1", b"Content-Length: abc\r\n")
+        + SMUGGLED + PEEK, [(200, "7"), (400, ERROR)], closes=True),
+    Row("head_refused_no_body", req(b"HEAD /peek", b"Content-Length: abc\r\n"), [(400, "")],
+        closes=True),
 ]
+
+# Rows that wait out IDLE_TIMEOUT_S; they run whole only.
+TIMED = {"stalled_body", "half_sent_header"}
+PAUSE_S = 0.005
 
 
 class _Answers(io.BufferedReader):
@@ -142,15 +166,59 @@ def served(monkeypatch):
     httpd.server_close()
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
-def test_contract(served, row):
+def pieces(data: bytes, seed: str) -> list[bytes]:
+    """``data`` cut inside its request line, between the line ends that
+    end its first head, inside that head's body (or just after the head,
+    when the body is shorter than two bytes), and at two seeded points."""
+    rng = random.Random(seed)
+    points = {rng.randrange(1, len(data)) for _ in range(2)}
+    points.add(rng.randrange(1, max(data.find(b"\n"), 2)))
+    head = re.search(rb"\n\r?\n", data)
+    if head:
+        length = re.search(rb"(?i)\ncontent-length: *(\d{1,7})\r?\n", data[:head.end()])
+        body = int(length[1]) if length else 0
+        points |= {head.start() + 1, head.end() + (rng.randrange(1, body) if body > 1 else 0)}
+    cuts = [0, *sorted(p for p in points if 0 < p < len(data)), len(data)]
+    return [data[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def send(s: socket.socket, data: bytes, seed: str | None) -> None:
+    """Send ``data`` whole, or in pieces when there is a seed.  A server
+    that has hung up may refuse the pieces after its answer; the row's
+    own checks then say whether it should have."""
+    for i, piece in enumerate(pieces(data, seed) if seed else [data]):
+        if i:
+            time.sleep(PAUSE_S)
+        try:
+            s.sendall(piece)
+        except (BrokenPipeError, ConnectionResetError):
+            if seed is None:
+                raise
+            return
+
+
+def rest(answers: _Answers, seed: str | None) -> bytes:
+    try:
+        return answers.read()
+    except ConnectionResetError:
+        if seed is None:
+            raise
+        return b""  # the server hung up while pieces were still arriving
+
+
+def exchange(served, row: Row, seed: str | None = None) -> None:
     p, errors = served
     before = p.cell.snapshot()
     with socket.create_connection(("127.0.0.1", p.config.port), timeout=5) as s:
-        s.sendall(row.request)
+        s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # each piece leaves at once
+        answers = _Answers(socket.SocketIO(s, "rb"))
+        send(s, row.request, seed)
+        if row.then:
+            assert answers.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert answers.readline() == b"\r\n"
+            send(s, row.then, seed)
         if row.half_close:
             s.shutdown(socket.SHUT_WR)
-        answers = _Answers(socket.SocketIO(s, "rb"))
         for status, body in row.answers:
             r = HTTPResponse(answers, method=row.request.split(b" ", 1)[0].decode())
             r.begin()
@@ -164,10 +232,23 @@ def test_contract(served, row):
         if row.answers:
             assert (r.getheader("Connection") == "close") == row.closes
         if row.closes or row.half_close:
-            assert answers.read() == b""  # hung up, with nothing more
+            assert rest(answers, seed) == b""  # hung up, with nothing more
         else:
             s.settimeout(0.05)
             with pytest.raises(TimeoutError):  # open, and nothing more
                 answers.read1(1)
     assert (p.cell.snapshot() == before) == row.unchanged
     assert errors == []
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
+def test_contract(served, row):
+    exchange(served, row)
+
+
+SPLIT = [row for row in ROWS if row.id not in TIMED]
+
+
+@pytest.mark.parametrize("row", SPLIT, ids=[row.id for row in SPLIT])
+def test_contract_in_pieces(served, row):
+    exchange(served, row, seed=row.id)

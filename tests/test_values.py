@@ -91,6 +91,7 @@ def test_conforms_examples():
     assert not conforms(NatS(), Int(3))
     assert not conforms(IntS(), Bool(True))
     assert conforms(LitS("add"), Text("add"))
+    assert not conforms(TextS(), Text("\ud800"))  # UTF-8 cannot carry it
     assert not conforms(LitS("add"), Text("sub"))
     assert conforms(ProdS(IntS(), BoolS()), Pair(Int(1), Bool(False)))
     assert conforms(SumS(IntS(), TextS()), Inl(Int(5)))
