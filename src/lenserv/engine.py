@@ -2,7 +2,12 @@
 
 ``prepare`` checks a server is runnable (its request schema has a path
 grammar, its state container has a derivable update action), builds the
-initial state, and returns a PreparedServer.  ``handle_get`` and
+initial state, and returns a PreparedServer.  It also spreads ``&``,
+``+`` and the prefixes into one ordered table of routes, one entry per
+leaf server under its prefixes, so that no request walks the nesting of
+choices: the first entry whose pattern matches a prefix of the path
+answers it, and a 404 if that entry left segments over, as ordered
+choice reads a path.  ``handle_get`` and
 ``handle_post`` are pure request->response functions over that value,
 so everything short of sockets is unit-testable; ``serve`` reads HTTP/1.1
 for them on a thread per connection, and logs only its start and stop.
@@ -34,18 +39,21 @@ import json
 import logging
 import re
 import socketserver
+import sys
 import threading
 import time
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http import HTTPStatus
+from typing import Callable, NamedTuple
 from wsgiref.handlers import format_date_time
 
+from .containers import Container, mount
 from .routing import NotRoutable, UriParser, parser_for, split_path
 from .servers import HandlerError, Server
 from .state import ActionDerivationError, StateCell, StateContractError, initial_state
 from .values import (
-    DecodeError, Inl, Pair, Value, conforms, decode_json, encode_json,
+    DecodeError, Inl, Inr, Pair, Value, conforms, decode_json, encode_json,
 )
 
 
@@ -85,12 +93,106 @@ class HttpResponse:
     body: str
 
 
+class _Route(NamedTuple):
+    """One entry of the route table: a leaf server under its prefixes.
+    ``steps`` holds one literal text or capture parser per prefix, outer
+    first; ``left`` and ``right`` are the leaf's containers under its
+    captures; ``run`` takes the request below the literals (captures
+    paired on, outer first) and the whole state."""
+
+    steps: tuple
+    parser: UriParser
+    left: Container
+    right: Container
+    run: Callable
+
+
 @dataclass(frozen=True)
 class PreparedServer:
     server: Server
     parser: UriParser
     cell: StateCell
     config: EngineConfig
+    # The route table: the entries under each first literal, and those
+    # for any other first segment, each list in route order.
+    table: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", _dispatch(_routes(self.server, self.parser)))
+
+
+def _routes(server: Server, parser: UriParser) -> list:
+    """Spread ``&``, ``+`` and the prefixes into route entries, in route
+    order.  A server with no ``form`` is one entry, read by ``parser``
+    at the top and by its own grammar below.  An explicit stack walks
+    the choices, so no nesting depth costs a Python frame."""
+    out, stack = [], [(server, (), ())]
+    while stack:
+        s, steps, sides = stack.pop()
+        kind, a, b = s.form or (None, None, None)
+        if kind == "choice":
+            stack += [(b, steps, sides), (a, steps, sides)]
+        elif kind == "sum":
+            stack += [(b, steps, sides + (Inr,)), (a, steps, sides + (Inl,))]
+        elif kind == "lit":
+            stack.append((b, steps + (a,), sides))
+        elif kind == "cap":
+            stack.append((b, steps + (parser_for(a),), sides))
+        else:
+            left, right = s.left, s.right
+            for step in reversed(steps):
+                if step.__class__ is not str:
+                    left, right = mount(step.schema, left), mount(step.schema, right)
+            out.append(_Route(steps, parser if s is server else parser_for(s.left.shape),
+                              left, right, _lifted(s.lens.run, steps, sides)))
+    return out
+
+
+def _lifted(run, steps: tuple, sides: tuple):
+    """``run`` over the entry's request and the whole state: peel the
+    captures off the request and pair them back onto the answer; follow
+    each ``+`` side (``Inl`` the first state, ``Inr`` the second) down
+    the state, outer first, and tag the diff back up."""
+    captures = sum(step.__class__ is not str for step in steps)
+    if not captures and not sides:
+        return run
+
+    def lifted(v):
+        x, st, caps = v.first, v.second, []
+        for _ in range(captures):
+            caps.append(x.first)
+            x = x.second
+        for tag in sides:
+            st = st.first if tag is Inl else st.second
+        y, back = run(Pair(x, st))
+        for cap in reversed(caps):
+            y = Pair(cap, y)
+        return y, (back if not sides else lambda r: _tagged(back(r), sides))
+    return lifted
+
+
+def _tagged(out: Pair, sides: tuple) -> Pair:
+    diff = out.second
+    for tag in reversed(sides):
+        diff = tag(diff)
+    return Pair(out.first, diff)
+
+
+def _dispatch(routes: list) -> tuple:
+    """``(by_literal, others)``: under each first literal, the entries
+    that start with it merged in order with those that start with no
+    literal; ``others`` alone for any other first segment.  No entry
+    left out of a list could match a path that the list is read for."""
+    by_literal, others = {}, []
+    for r in routes:
+        first = r.steps[0] if r.steps and r.steps[0].__class__ is str else None
+        if first is None:
+            others.append(r)
+            for entries in by_literal.values():
+                entries.append(r)
+        else:
+            by_literal.setdefault(first, list(others)).append(r)
+    return by_literal, others
 
 
 def prepare(server: Server, config: EngineConfig | None = None,
@@ -106,6 +208,9 @@ def prepare(server: Server, config: EngineConfig | None = None,
         parser = parser_for(server.left.shape)
     except NotRoutable as exc:
         raise PrepareError(f"request schema is not routable: {exc}") from None
+    except RecursionError:
+        raise PrepareError("route nesting is too deep for the recursion limit "
+                           f"({sys.getrecursionlimit()})") from None
     init = initial if initial is not None else initial_state(server.param)
     try:
         cell = StateCell(server.param, init)
@@ -141,9 +246,39 @@ def _strip_route_tags(left, right, x: Value, y: Value) -> Value:
     return y
 
 
-def _route(p: PreparedServer, path: str) -> Value | None:
+def _lookup(table: tuple, path: str):
+    """``(entry, request)`` for the first entry whose pattern matches a
+    prefix of ``path``, or None: also when that entry leaves segments
+    over, as ordered choice commits to the first branch that matches."""
     segments = split_path(path)
-    return None if segments is None else p.parser.parse(segments)
+    if segments is None:
+        return None
+    by_literal, others = table
+    n = len(segments)
+    for r in by_literal.get(segments[0], others) if n else others:
+        i, caps = 0, []
+        for step in r.steps:
+            if step.__class__ is str:
+                if i == n or segments[i] != step:
+                    break
+                i += 1
+            else:
+                out = step.run(segments, i)
+                if out is None:
+                    break
+                caps.append(out[0])
+                i = out[1]
+        else:
+            out = r.parser.run(segments, i)
+            if out is None:
+                continue
+            if out[1] != n:
+                return None
+            x = out[0]
+            for cap in reversed(caps):
+                x = Pair(cap, x)
+            return r, x
+    return None
 
 
 def handle_get(p: PreparedServer, path: str) -> HttpResponse:
@@ -158,25 +293,25 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
     """Serve a GET (``body`` is None) or a POST.  A POST commits its diff
     as the last step of its transaction, after every check has passed
     and its answer is encoded."""
-    x = _route(p, path)
-    if x is None:
+    found = _lookup(p.table, path)
+    if found is None:
         return _error(404, f"no route matches {path}")
-    server = p.server
+    route, x = found
     phase = "forward pass"
     try:
         with nullcontext() if body is None else p.cell.transaction():
-            y, back = server.lens.run(Pair(x, p.cell.snapshot()))
+            y, back = route.run(Pair(x, p.cell.snapshot()))
             if body is None:
-                if not conforms(server.right.shape, y):
+                if not conforms(route.right.shape, y):
                     return _error(500, "forward pass broke the response contract")
-                y = _strip_route_tags(server.left, server.right, x, y)
+                y = _strip_route_tags(route.left, route.right, x, y)
                 phase = "response encoding"
                 return HttpResponse(200, encode_json(y))
-            r = decode_json(server.right.position(y), body)
+            r = decode_json(route.right.position(y), body)
             phase = "backward pass"
             out = back(r)
             phase = "response position"
-            if not conforms(server.left.position(x), out.first):
+            if not conforms(route.left.position(x), out.first):
                 return _error(500, "backward pass broke the response contract")
             phase = "response encoding"
             resp = HttpResponse(200, encode_json(out.first))
@@ -195,6 +330,9 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
 # Socket layer: HTTP/1.1 framing (RFC 9112), one thread per connection.
 # The contract's limits: 64 KiB per request or header line, under 100 header lines.
 _MAX_LINE, _MAX_HEADERS = 1 << 16, 100
+# RFC 9110 §15 renamed two phrases that this Python's HTTPStatus still has.
+_PHRASES = {status.value: status.phrase for status in HTTPStatus} | {
+    413: "Content Too Large", 414: "URI Too Long"}
 _REQUEST_LINE = re.compile(r"(\S+)\s+(\S+)\s+HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
@@ -257,13 +395,14 @@ class _Connection(socketserver.StreamRequestHandler):
             headers.setdefault(name.lower(), []).append(value.strip())
         else:
             raise _Refused(431, "too many header lines")
-        connection = headers.get("connection", [""])[0].lower()
-        close = connection == "close" or (minor == 0 and connection != "keep-alive")
+        # RFC 9110 §7.6.1: a list of tokens, over every Connection line
+        tokens = {t.strip().lower() for v in headers.get("connection", ()) for t in v.split(",")}
+        close = "close" in tokens or (minor == 0 and "keep-alive" not in tokens)
         if "transfer-encoding" in headers:  # chunked bodies are not decoded: refuse unread
             raise _Refused(501, "Transfer-Encoding is not supported")
         length = _content_length(headers.get("content-length", []))
         if minor and headers.get("expect", [""])[0].lower() == "100-continue":
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
             raw = self.rfile.read(length)
         except TimeoutError:
@@ -287,13 +426,13 @@ class _Connection(socketserver.StreamRequestHandler):
 
     def _send(self, resp: HttpResponse, close: bool) -> None:
         data = resp.body.encode("utf-8")
-        self.wfile.write((
-            f"HTTP/1.1 {resp.status} {HTTPStatus(resp.status).phrase}\r\n"
-            f"Date: {format_date_time(time.time())}\r\n"
+        self.connection.sendall((
+            f"HTTP/1.1 {resp.status} {_PHRASES[resp.status]}\r\n"
+            f"Date: {self.server.date()}\r\n"
             f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
             + ("Connection: close\r\n" if close else "") + "\r\n").encode("ascii"))
         if self.method != "HEAD":
-            self.wfile.write(data)
+            self.connection.sendall(data)
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -305,6 +444,16 @@ class _Server(socketserver.ThreadingTCPServer):
     def __init__(self, p: PreparedServer):
         super().__init__(("127.0.0.1", p.config.port), _Connection)
         self.prepared = p
+        self._stamp = (None, "")  # (second, its Date text)
+
+    def date(self) -> str:
+        """The ``Date`` header's IMF-fixdate, formatted once per second."""
+        now = int(time.time())
+        second, text = self._stamp
+        if second != now:
+            text = format_date_time(now)
+            self._stamp = (now, text)
+        return text
 
 
 def serve(p: PreparedServer) -> None:

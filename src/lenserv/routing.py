@@ -157,6 +157,8 @@ def split_path(path: str) -> list | None:
     rest = path[1:]
     if not rest:
         return []
+    if "%" not in rest:
+        return rest.split("/")
     try:
         return [unquote(seg, errors="strict") for seg in rest.split("/")]
     except UnicodeDecodeError:

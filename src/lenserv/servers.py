@@ -31,6 +31,8 @@ Only the endpoints (``get_lens``, ``post_lens``, ``state_server``,
 after projecting the product state onto each side.  Every other
 combinator is ``dep_compose`` / ``dep_parallel`` over identities and
 small adapters, so the backward threading lives in ``deplens`` alone.
+``&``, ``+`` and the prefixes also record their parts in ``form``, so
+the engine can spread them into one table of routes.
 
 ``get_lens`` and ``post_lens`` take const or keyed state; a
 ``post_lens`` handler returns the whole new value or one map entry.
@@ -40,7 +42,7 @@ failures (division by zero, missing key) by raising ``HandlerError``;
 the HTTP engine turns that into a 400 response.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .containers import (
     Container, _disagreement, const_of, coproduct, is_keyed, mount, pinned, product,
@@ -71,6 +73,9 @@ class Server:
     param: Container
     right: Container
     lens: DepLens
+    # How a choice or a prefix was built, for the engine's route table:
+    # ("choice", a, b), ("sum", a, b), ("lit", text, s) or ("cap", schema, s).
+    form: tuple | None = field(default=None, repr=False)
 
     # -- operator DSL -----------------------------------------------
 
@@ -104,8 +109,8 @@ class Server:
         return NotImplemented
 
 
-def _server(left, param, right, run) -> Server:
-    return Server(left, param, right, DepLens.from_run(tensor(left, param), right, run))
+def _server(left, param, right, run, form=None) -> Server:
+    return Server(left, param, right, DepLens.from_run(tensor(left, param), right, run), form)
 
 
 def lens_server(l: DepLens) -> Server:
@@ -177,7 +182,8 @@ def ext_choice(a: Server, b: Server) -> Server:
     both = product(a.param, b.param)
     first = DepLens.from_run(both, a.param, lambda st: (st.first, Inl))
     second = DepLens.from_run(both, b.param, lambda st: (st.second, Inr))
-    return clone_choice(reparam_server(a, first), reparam_server(b, second))
+    return replace(clone_choice(reparam_server(a, first), reparam_server(b, second)),
+                   form=("sum", a, b))
 
 
 def clone_choice(a: Server, b: Server) -> Server:
@@ -195,7 +201,8 @@ def clone_choice(a: Server, b: Server) -> Server:
         y, back = side.lens.run(Pair(tag.value, v.second))
         return inject(y), back
 
-    return _server(coproduct(a.left, b.left), a.param, coproduct(a.right, b.right), run)
+    return _server(coproduct(a.left, b.left), a.param, coproduct(a.right, b.right), run,
+                   ("choice", a, b))
 
 
 def state_server(c: Container) -> Server:
@@ -247,7 +254,8 @@ def post_lens(uri: Schema, state: Container, body: Schema, handler) -> Server:
 def path_prefix(segment: str, s: Server) -> Server:
     """Mount ``s`` under a fixed path segment."""
     left = mount(LitS(segment), s.left)  # LitS validates the segment text
-    return _server(left, s.param, s.right, lambda v: s.lens.run(Pair(v.first.second, v.second)))
+    return _server(left, s.param, s.right, lambda v: s.lens.run(Pair(v.first.second, v.second)),
+                   ("lit", segment, s))
 
 
 def capture_prefix(cap: Schema, s: Server) -> Server:
@@ -261,4 +269,4 @@ def capture_prefix(cap: Schema, s: Server) -> Server:
         y, back = s.lens.run(Pair(v.first.second, v.second))
         return Pair(v.first.first, y), back
 
-    return _server(mount(cap, s.left), s.param, mount(cap, s.right), run)
+    return _server(mount(cap, s.left), s.param, mount(cap, s.right), run, ("cap", cap, s))

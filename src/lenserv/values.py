@@ -447,13 +447,16 @@ def _to_obj(v: Value):
     raise TypeError(f"unknown value {v!r}")
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
 def encode_json(v: Value) -> str:
     """Deterministic JSON rendering; equal values give identical text.
 
     >>> encode_json(Pair(Int(2), Inl(Text("hi"))))
     '[2,{"L":"hi"}]'
     """
-    return json.dumps(_to_obj(v), separators=(",", ":"), ensure_ascii=False)
+    return _encode(_to_obj(v))
 
 
 def _reject_const(token):

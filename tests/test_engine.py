@@ -1,10 +1,15 @@
 import json
 import random
+import socket
 import sys
+from email.utils import formatdate
+from http.client import HTTPResponse
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import counter, running
+from lenserv import engine
 from lenserv.containers import const_of, coproduct, keyed, pinned, tensor, unit_positions
 from lenserv.deplens import DepLens
 from lenserv.engine import (
@@ -408,3 +413,41 @@ def test_mixed_requests_derive_no_new_schema_after_warm_up():
     for _ in range(2000):
         send(rng.choice(paths), rng.choice(bodies))
     assert derivations() == before
+
+
+# Each status the engine sends, the request that draws it, and its RFC
+# 9110 reason phrase (431 is RFC 6585's).
+STATUS_LINES = [
+    (200, b"GET /peek HTTP/1.1\r\n\r\n", "OK"),
+    (400, b"GARBAGE\r\n\r\n", "Bad Request"),
+    (404, b"GET /missing HTTP/1.1\r\n\r\n", "Not Found"),
+    (405, b"PUT /peek HTTP/1.1\r\n\r\n", "Method Not Allowed"),
+    (408, b"POST /add/1 HTTP/1.1\r\nContent-Length: 5\r\n\r\n4", "Request Timeout"),
+    (413, b"POST /add/1 HTTP/1.1\r\nContent-Length: 9999999\r\n\r\n", "Content Too Large"),
+    (414, b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", "URI Too Long"),
+    (431, b"GET /peek HTTP/1.1\r\n" + b"X: 1\r\n" * 100 + b"\r\n",
+     "Request Header Fields Too Large"),
+    (500, b"GET /broken HTTP/1.1\r\n\r\n", "Internal Server Error"),
+    (501, b"POST /add/1 HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", "Not Implemented"),
+    (505, b"GET /peek HTTP/2.0\r\n\r\n", "HTTP Version Not Supported"),
+]
+
+
+def test_every_status_line_has_its_reason_phrase_and_a_date_that_follows_the_clock(
+        monkeypatch):
+    now = [1_700_000_000.75]  # Tue, 14 Nov 2023 22:13:20.75 GMT
+    monkeypatch.setattr(engine, "time", SimpleNamespace(time=lambda: now[0]))
+    monkeypatch.setattr(engine, "IDLE_TIMEOUT_S", 0.2)
+    broken = "broken" / get_lens(UnitS(), const_of(IntS()), IntS(), lambda st, u: Text("x"))
+    dates = set()
+    with running(counter() & broken) as (p, _):
+        for status, request, phrase in STATUS_LINES:
+            with socket.create_connection(("127.0.0.1", p.config.port), timeout=5) as s:
+                s.sendall(request)
+                r = HTTPResponse(s)
+                r.begin()
+            assert (r.status, r.reason) == (status, phrase)
+            assert r.getheader("Date") == formatdate(int(now[0]), usegmt=True)
+            dates.add(r.getheader("Date"))
+            now[0] += 0.25
+    assert len(dates) == 4  # the clock ran from second 0.75 to 3.25: four Dates

@@ -132,6 +132,10 @@ ROWS = [
         + SMUGGLED + PEEK, [(200, "7"), (400, ERROR)], closes=True),
     Row("head_refused_no_body", req(b"HEAD /peek", b"Content-Length: abc\r\n"), [(400, "")],
         closes=True),
+    Row("connection_list_with_close", req(b"GET /peek", b"Connection: keep-alive, close\r\n")
+        + PEEK, [(200, "7")], closes=True),
+    Row("http_1_0_keep_alive_in_a_list",
+        b"GET /peek HTTP/1.0\r\nConnection: Keep-Alive, x\r\n\r\n" + PEEK, [(200, "7"), (200, "7")]),
 ]
 
 # Rows that wait out IDLE_TIMEOUT_S; they run whole only.
