@@ -36,7 +36,7 @@ from .containers import (
 from .deplens import DepLens, BoundaryMismatch, dep_identity, dep_compose, dep_parallel
 from .servers import (
     Server, HandlerError, lens_server, reparam_server, seq_server,
-    pre_compose, post_compose, parallel_server, ext_choice, clone_choice,
+    pre_compose, post_compose, ext_choice, clone_choice,
     state_server, get_lens, post_lens, path_prefix, capture_prefix,
 )
 from .routing import (

@@ -2,12 +2,13 @@
 
 ``prepare`` checks a server is runnable (its request schema has a path
 grammar, its state container has a derivable update action), builds the
-initial state, and returns a PreparedServer.  It also spreads ``&``,
-``+`` and the prefixes into one ordered table of routes, one entry per
-leaf server under its prefixes, so that no request walks the nesting of
-choices: the first entry whose pattern matches a prefix of the path
-answers it, and a 404 if that entry left segments over, as ordered
-choice reads a path.  ``handle_get`` and
+initial state, and returns a PreparedServer.  It also spreads the
+server's forms (``choice``, ``lit``, ``cap`` and ``reparam``) into one
+ordered table of routes, one entry per leaf server under its prefixes,
+so that no request walks the nesting of choices: the first entry whose
+pattern matches a prefix of the path answers it, and a 404 if that entry
+left segments over, as ordered choice reads a path.  Each entry holds
+a server, and a request runs that server's own lens.  ``handle_get`` and
 ``handle_post`` are pure request->response functions over that value,
 so everything short of sockets is unit-testable; ``serve`` reads HTTP/1.1
 for them on a thread per connection, and logs only its start and stop.
@@ -45,16 +46,13 @@ import time
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from http import HTTPStatus
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 from wsgiref.handlers import format_date_time
 
-from .containers import Container, mount
 from .routing import NotRoutable, UriParser, parser_for, split_path
-from .servers import HandlerError, Server
+from .servers import HandlerError, Server, capture_prefix, reparam_server
 from .state import ActionDerivationError, StateCell, StateContractError, initial_state
-from .values import (
-    DecodeError, Inl, Inr, Pair, Value, conforms, decode_json, encode_json,
-)
+from .values import DecodeError, Inl, Pair, Value, conforms, decode_json, encode_json
 
 
 __all__ = [
@@ -96,15 +94,14 @@ class HttpResponse:
 class _Route(NamedTuple):
     """One entry of the route table: a leaf server under its prefixes.
     ``steps`` holds one literal text or capture parser per prefix, outer
-    first; ``left`` and ``right`` are the leaf's containers under its
-    captures; ``run`` takes the request below the literals (captures
-    paired on, outer first) and the whole state."""
+    first; ``parser`` reads the leaf's own request; ``server`` is the
+    leaf rebuilt under its captures and re-parametrisations, so its lens
+    takes the request below the literals (captures paired on, outer
+    first) and the whole state."""
 
     steps: tuple
     parser: UriParser
-    left: Container
-    right: Container
-    run: Callable
+    server: Server
 
 
 @dataclass(frozen=True)
@@ -122,60 +119,31 @@ class PreparedServer:
 
 
 def _routes(server: Server, parser: UriParser) -> list:
-    """Spread ``&``, ``+`` and the prefixes into route entries, in route
-    order.  A server with no ``form`` is one entry, read by ``parser``
-    at the top and by its own grammar below.  An explicit stack walks
-    the choices, so no nesting depth costs a Python frame."""
+    """Spread ``&`` and the prefixes into route entries, in route order.
+    A literal is a lookup step alone.  A capture is a step too, and it
+    and ``reparam_server`` distribute over ``&``, so each is rebuilt
+    over every leaf below it (``+`` is the ``&`` of two
+    re-parametrisations).  A server with no ``form`` is one entry, read
+    by ``parser`` at the top and by its own grammar below.  An explicit
+    stack walks the choices, so no nesting depth costs a Python frame."""
     out, stack = [], [(server, (), ())]
     while stack:
-        s, steps, sides = stack.pop()
+        s, steps, wrappers = stack.pop()
         kind, a, b = s.form or (None, None, None)
         if kind == "choice":
-            stack += [(b, steps, sides), (a, steps, sides)]
-        elif kind == "sum":
-            stack += [(b, steps, sides + (Inr,)), (a, steps, sides + (Inl,))]
+            stack += [(b, steps, wrappers), (a, steps, wrappers)]
         elif kind == "lit":
-            stack.append((b, steps + (a,), sides))
+            stack.append((b, steps + (a,), wrappers))
         elif kind == "cap":
-            stack.append((b, steps + (parser_for(a),), sides))
+            stack.append((b, steps + (parser_for(a),), wrappers + (s.form,)))
+        elif kind == "reparam":
+            stack.append((b, steps, wrappers + (s.form,)))
         else:
-            left, right = s.left, s.right
-            for step in reversed(steps):
-                if step.__class__ is not str:
-                    left, right = mount(step.schema, left), mount(step.schema, right)
-            out.append(_Route(steps, parser if s is server else parser_for(s.left.shape),
-                              left, right, _lifted(s.lens.run, steps, sides)))
+            own = parser if s is server else parser_for(s.left.shape)
+            for wrap, arg, _ in reversed(wrappers):
+                s = capture_prefix(arg, s) if wrap == "cap" else reparam_server(s, arg)
+            out.append(_Route(steps, own, s))
     return out
-
-
-def _lifted(run, steps: tuple, sides: tuple):
-    """``run`` over the entry's request and the whole state: peel the
-    captures off the request and pair them back onto the answer; follow
-    each ``+`` side (``Inl`` the first state, ``Inr`` the second) down
-    the state, outer first, and tag the diff back up."""
-    captures = sum(step.__class__ is not str for step in steps)
-    if not captures and not sides:
-        return run
-
-    def lifted(v):
-        x, st, caps = v.first, v.second, []
-        for _ in range(captures):
-            caps.append(x.first)
-            x = x.second
-        for tag in sides:
-            st = st.first if tag is Inl else st.second
-        y, back = run(Pair(x, st))
-        for cap in reversed(caps):
-            y = Pair(cap, y)
-        return y, (back if not sides else lambda r: _tagged(back(r), sides))
-    return lifted
-
-
-def _tagged(out: Pair, sides: tuple) -> Pair:
-    diff = out.second
-    for tag in reversed(sides):
-        diff = tag(diff)
-    return Pair(out.first, diff)
 
 
 def _dispatch(routes: list) -> tuple:
@@ -300,18 +268,19 @@ def _handle(p: PreparedServer, path: str, body: str | None) -> HttpResponse:
     phase = "forward pass"
     try:
         with nullcontext() if body is None else p.cell.transaction():
-            y, back = route.run(Pair(x, p.cell.snapshot()))
+            s = route.server
+            y, back = s.lens.run(Pair(x, p.cell.snapshot()))
             if body is None:
-                if not conforms(route.right.shape, y):
+                if not conforms(s.right.shape, y):
                     return _error(500, "forward pass broke the response contract")
-                y = _strip_route_tags(route.left, route.right, x, y)
+                y = _strip_route_tags(s.left, s.right, x, y)
                 phase = "response encoding"
                 return HttpResponse(200, encode_json(y))
-            r = decode_json(route.right.position(y), body)
+            r = decode_json(s.right.position(y), body)
             phase = "backward pass"
             out = back(r)
             phase = "response position"
-            if not conforms(route.left.position(x), out.first):
+            if not conforms(s.left.position(x), out.first):
                 return _error(500, "backward pass broke the response contract")
             phase = "response encoding"
             resp = HttpResponse(200, encode_json(out.first))

@@ -31,8 +31,9 @@ Only the endpoints (``get_lens``, ``post_lens``, ``state_server``,
 after projecting the product state onto each side.  Every other
 combinator is ``dep_compose`` / ``dep_parallel`` over identities and
 small adapters, so the backward threading lives in ``deplens`` alone.
-``&``, ``+`` and the prefixes also record their parts in ``form``, so
-the engine can spread them into one table of routes.
+``&``, the two prefixes and ``reparam_server`` also record their parts
+in ``form``, so the engine can spread them into one table of routes;
+``+`` is spread as the ``&`` it is built from.
 
 ``get_lens`` and ``post_lens`` take const or keyed state; a
 ``post_lens`` handler returns the whole new value or one map entry.
@@ -42,7 +43,7 @@ failures (division by zero, missing key) by raising ``HandlerError``;
 the HTTP engine turns that into a 400 response.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .containers import (
     Container, _disagreement, const_of, coproduct, is_keyed, mount, pinned, product,
@@ -57,7 +58,7 @@ from .values import (
 __all__ = [
     "Server", "HandlerError",
     "lens_server", "reparam_server", "seq_server", "pre_compose",
-    "post_compose", "parallel_server", "ext_choice", "clone_choice",
+    "post_compose", "ext_choice", "clone_choice",
     "state_server", "get_lens", "post_lens", "path_prefix",
     "capture_prefix",
 ]
@@ -73,8 +74,9 @@ class Server:
     param: Container
     right: Container
     lens: DepLens
-    # How a choice or a prefix was built, for the engine's route table:
-    # ("choice", a, b), ("sum", a, b), ("lit", text, s) or ("cap", schema, s).
+    # How a choice, a prefix or a re-parametrisation was built, for the
+    # engine's route table: ("choice", a, b), ("lit", text, s),
+    # ("cap", schema, s) or ("reparam", lens, s).
     form: tuple | None = field(default=None, repr=False)
 
     # -- operator DSL -----------------------------------------------
@@ -128,7 +130,7 @@ def reparam_server(s: Server, l: DepLens) -> Server:
     it: reads of the old state go forward through ``l``, state diffs
     come back through its backward map."""
     return Server(s.left, l.src, s.right,
-                  (dep_identity(s.left) * l) >> s.lens)
+                  (dep_identity(s.left) * l) >> s.lens, ("reparam", l, s))
 
 
 def seq_server(a: Server, b: Server) -> Server:
@@ -158,23 +160,6 @@ def post_compose(s: Server, l: DepLens) -> Server:
     return Server(s.left, s.param, l.dst, s.lens >> l)
 
 
-def parallel_server(a: Server, b: Server) -> Server:
-    """Both servers at once: requests, states, and responses all pair
-    up componentwise."""
-    left = tensor(a.left, b.left)
-    param = tensor(a.param, b.param)
-    right = tensor(a.right, b.right)
-
-    def reassoc(v):
-        return Pair(Pair(v.first.first, v.second.first),
-                    Pair(v.first.second, v.second.second))
-
-    adapter = DepLens.from_run(
-        tensor(left, param), tensor(tensor(a.left, a.param), tensor(b.left, b.param)),
-        lambda v: (reassoc(v), reassoc))
-    return Server(left, param, right, adapter >> (a.lens * b.lens))
-
-
 def ext_choice(a: Server, b: Server) -> Server:
     """External choice: route to one server or the other by the request
     tag.  States stay separate; a request for one side can only ever
@@ -182,8 +167,7 @@ def ext_choice(a: Server, b: Server) -> Server:
     both = product(a.param, b.param)
     first = DepLens.from_run(both, a.param, lambda st: (st.first, Inl))
     second = DepLens.from_run(both, b.param, lambda st: (st.second, Inr))
-    return replace(clone_choice(reparam_server(a, first), reparam_server(b, second)),
-                   form=("sum", a, b))
+    return clone_choice(reparam_server(a, first), reparam_server(b, second))
 
 
 def clone_choice(a: Server, b: Server) -> Server:

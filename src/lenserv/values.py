@@ -463,10 +463,13 @@ def _reject_const(token):
     raise DecodeError(f"non-finite number {token!r} not allowed")
 
 
+_decode = json.JSONDecoder(parse_constant=_reject_const).decode
+
+
 def decode_json(s: Schema, text: str) -> Value:
     """Schema-directed decoding; the left inverse of ``encode_json``."""
     try:
-        obj = json.loads(text, parse_constant=_reject_const)
+        obj = _decode(text)
     except DecodeError:
         raise
     except (ValueError, TypeError, RecursionError) as exc:

@@ -1,5 +1,7 @@
-"""The engine's route table.  ``prepare`` spreads ``&``, ``+`` and the
-prefixes of a server into one ordered table of routes; a request is
+"""The engine's route table.  ``prepare`` spreads ``&`` and the literal
+prefixes of a server into one ordered table of routes, and rebuilds each
+capture and ``reparam_server`` over every branch of a choice below it,
+so ``+``, the ``&`` of two re-parametrisations, spreads too; a request is
 answered by the first entry whose pattern matches a prefix of its path.
 These tests hold that table to the answers of the same server rebuilt
 without its ``form``, which the engine serves as one entry through the
@@ -18,9 +20,11 @@ from lenserv.containers import const_of
 from lenserv.demos import build_calculator, build_combined, build_iot, build_todo
 from lenserv.engine import PrepareError, handle_get, handle_post, prepare
 from lenserv.routing import describe_routes, parse_uri
-from lenserv.servers import Server, get_lens
+from lenserv.lens import fst_lens
+from lenserv.servers import Server, get_lens, post_lens, reparam_server
 from lenserv.values import (
-    Int, IntS, Pair, TextS, UnitS, conforms, encode_json, generate_value,
+    BoolS, Int, IntS, NatS, Pair, ProdS, TextS, UnitS, conforms, encode_json,
+    generate_value,
 )
 
 
@@ -31,8 +35,8 @@ def _chain(n: int) -> Server:
         f"r{i}" / get_lens(UnitS(), c, IntS(), lambda st, u, i=i: Int(i)) for i in range(n)])
 
 
-def test_a_deep_and_chain_answers_without_a_frame_per_level():
-    p = prepare(_chain(300))
+def _answers_under_a_tight_recursion_limit(server: Server):
+    p = prepare(server)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     try:
@@ -41,6 +45,15 @@ def test_a_deep_and_chain_answers_without_a_frame_per_level():
         sys.setrecursionlimit(limit)
     assert [(r.status, r.body) for r in answers[:2]] == [(200, "0"), (200, "299")]
     assert answers[2].status == 404
+
+
+def test_a_deep_and_chain_answers_without_a_frame_per_level():
+    _answers_under_a_tight_recursion_limit(_chain(300))
+
+
+def test_a_deep_and_chain_under_reparam_answers_without_a_frame_per_level():
+    _answers_under_a_tight_recursion_limit(
+        reparam_server(_chain(300), fst_lens(ProdS(IntS(), BoolS()))))
 
 
 def test_prepare_refuses_a_chain_too_deep_for_the_route_grammar():
@@ -62,10 +75,25 @@ def _shadowed_servers():
     return [text & ("x" / b), unit & ("y" / b)]
 
 
+def _distributed_servers():
+    """Choices under the forms that are rebuilt over each branch: a
+    re-parametrisation of ``&`` over a const product state, a capture
+    above ``+``, and ``+`` whose right side is a ``&`` of literals."""
+    c = const_of(IntS())
+    add = get_lens(IntS(), c, IntS(), lambda st, n: Int(st.i + n.i))
+    put = post_lens(UnitS(), c, IntS(), lambda st, u, body: body)
+    a, b = "a" / add, "b" / put
+    return [reparam_server(a & b, fst_lens(ProdS(IntS(), BoolS()))),
+            NatS() / (a + b),
+            (a + b) + (("c" / put) & ("d" / add))]
+
+
 SERVERS = ([("demo_" + f.__name__, f()) for f in (build_calculator, build_iot, build_todo,
                                                    build_combined)]
            + [(f"seed{seed}", random_server(random.Random(seed)).server) for seed in range(64)]
-           + list(zip(("text_then_literal", "unit_then_literal"), _shadowed_servers())))
+           + list(zip(("text_then_literal", "unit_then_literal"), _shadowed_servers()))
+           + list(zip(("reparam_over_and", "capture_over_sum", "sum_over_sum_and_and"),
+                      _distributed_servers())))
 
 _CAPTURES = {
     "Int": lambda rng: str(rng.randint(-9, 9)),

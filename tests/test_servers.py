@@ -18,7 +18,6 @@ from lenserv.servers import (
     ext_choice,
     get_lens,
     lens_server,
-    parallel_server,
     path_prefix,
     post_compose,
     post_lens,
@@ -218,24 +217,6 @@ def test_focusing_a_server_checks_its_boundary_once(monkeypatch):
     a, b = ProdS(IntS(), BoolS()), ProdS(TextS(), IntS())
     state_server(const_of(ProdS(a, b))) >> (fst_lens(a) * snd_lens(b))
     assert len(calls) == 1
-
-
-def test_parallel_is_componentwise_on_servers():
-    a = state_server(const_of(IntS()))
-    b = state_server(const_of(BoolS()))
-    both = parallel_server(a, b)
-    rng = random.Random(21)
-    for _ in range(200):
-        st = generate_value(both.param.shape, rng)
-        v = Pair(Pair(Unit(), Unit()), st)
-        assert both.lens.view(v) == st
-        r = generate_value(both.right.position(st), rng)
-        got = both.lens.update(v, r)
-        want_a = a.lens.update(Pair(Unit(), st.first), r.first)
-        want_b = b.lens.update(Pair(Unit(), st.second), r.second)
-        assert got == Pair(
-            Pair(want_a.first, want_b.first), Pair(want_a.second, want_b.second)
-        )
 
 
 # The hand-written bodies reparam_server, seq_server, pre_compose and

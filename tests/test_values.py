@@ -159,6 +159,7 @@ def test_decode_examples():
         (LitS("add"), '"sub"'),
         (TextS(), '"\\ud800"'),  # a lone surrogate is not UTF-8-encodable
         (MapS(TextS(), IntS()), '[["a\\udfff",1]]'),
+        (IntS(), "\ufeff1"),  # a byte order mark is not JSON
     ],
 )
 def test_decode_rejections(schema, text):
