@@ -4,14 +4,15 @@
 grammar, its state container has a derivable update action), builds the
 initial state, and returns a PreparedServer.  It also spreads the
 server's forms (``choice``, ``lit``, ``cap`` and ``reparam``) into one
-ordered table of routes, one entry per leaf server under its prefixes,
-so that no request walks the nesting of choices: the first entry whose
-pattern matches a prefix of the path answers it, and a 404 if that entry
-left segments over, as ordered choice reads a path.  Each entry holds
-a server, and a request runs that server's own lens.  ``handle_get`` and
-``handle_post`` are pure request->response functions over that value,
-so everything short of sockets is unit-testable; ``serve`` reads HTTP/1.1
-for them on a thread per connection, and logs only its start and stop.
+ordered table of routes, one entry per leaf server under its prefixes
+and one re-parametrisation, so that no request walks the nesting of
+choices.  A path's leading literals are looked up, and each entry's own
+grammar reads the rest: the first entry that matches a prefix of the
+path runs its server's lens, and a 404 if it left segments over, as
+ordered choice reads a path.  ``handle_get`` and ``handle_post`` are
+pure request->response functions over that value, so everything short
+of sockets is unit-testable; ``serve`` reads HTTP/1.1 for them on a
+thread per connection, and logs only its start and stop.
 Each response leaves in two writes, head then body, so a peer that holds
 back its ACK of the head stalls the body ~40 ms under Nagle's algorithm.
 
@@ -50,7 +51,7 @@ from typing import NamedTuple
 from wsgiref.handlers import format_date_time
 
 from .routing import NotRoutable, UriParser, parser_for, split_path
-from .servers import HandlerError, Server, capture_prefix, reparam_server
+from .servers import HandlerError, Server, reparam_server
 from .state import ActionDerivationError, StateCell, StateContractError, initial_state
 from .values import DecodeError, Inl, Pair, Value, conforms, decode_json, encode_json
 
@@ -93,13 +94,13 @@ class HttpResponse:
 
 class _Route(NamedTuple):
     """One entry of the route table: a leaf server under its prefixes.
-    ``steps`` holds one literal text or capture parser per prefix, outer
-    first; ``parser`` reads the leaf's own request; ``server`` is the
-    leaf rebuilt under its captures and re-parametrisations, so its lens
-    takes the request below the literals (captures paired on, outer
-    first) and the whole state."""
+    ``literals`` are the leading literal segments, the lookup steps;
+    ``parser`` reads the rest of the path, any capture and the literals
+    below it included; ``server`` is the leaf rebuilt under those
+    prefixes and one re-parametrisation, so its lens takes what
+    ``parser`` reads and the whole state."""
 
-    steps: tuple
+    literals: list
     parser: UriParser
     server: Server
 
@@ -120,29 +121,33 @@ class PreparedServer:
 
 def _routes(server: Server, parser: UriParser) -> list:
     """Spread ``&`` and the prefixes into route entries, in route order.
-    A literal is a lookup step alone.  A capture is a step too, and it
-    and ``reparam_server`` distribute over ``&``, so each is rebuilt
-    over every leaf below it (``+`` is the ``&`` of two
-    re-parametrisations).  A server with no ``form`` is one entry, read
-    by ``parser`` at the top and by its own grammar below.  An explicit
-    stack walks the choices, so no nesting depth costs a Python frame."""
-    out, stack = [], [(server, (), ())]
+    The ``reparam`` forms met on the way down compose into one lens,
+    outer first (re-parametrising twice is once by the composite), and
+    a prefix, which touches only the request, commutes with it; both
+    distribute over ``&``, so ``+``, the ``&`` of two
+    re-parametrisations, spreads too.  A literal above every capture is
+    a lookup step; a capture and the literals below it are rebuilt over
+    the leaf, for the entry's grammar to read.  A formless server is one
+    entry, read by ``parser`` at the top.  An explicit stack walks the
+    choices, so no nesting depth costs a Python frame."""
+    out, stack = [], [(server, [], (), None)]
     while stack:
-        s, steps, wrappers = stack.pop()
+        s, literals, prefixes, lens = stack.pop()
         kind, a, b = s.form or (None, None, None)
         if kind == "choice":
-            stack += [(b, steps, wrappers), (a, steps, wrappers)]
-        elif kind == "lit":
-            stack.append((b, steps + (a,), wrappers))
-        elif kind == "cap":
-            stack.append((b, steps + (parser_for(a),), wrappers + (s.form,)))
+            stack += [(b, literals, prefixes, lens), (a, literals, prefixes, lens)]
         elif kind == "reparam":
-            stack.append((b, steps, wrappers + (s.form,)))
+            stack.append((b, literals, prefixes, a if lens is None else lens >> a))
+        elif kind == "lit" and not prefixes:
+            stack.append((b, literals + [a], prefixes, lens))
+        elif kind in ("lit", "cap"):
+            stack.append((b, literals, prefixes + (a,), lens))
         else:
-            own = parser if s is server else parser_for(s.left.shape)
-            for wrap, arg, _ in reversed(wrappers):
-                s = capture_prefix(arg, s) if wrap == "cap" else reparam_server(s, arg)
-            out.append(_Route(steps, own, s))
+            for arg in reversed(prefixes):
+                s = arg / s
+            if lens is not None:
+                s = reparam_server(s, lens)
+            out.append(_Route(literals, parser if s is server else parser_for(s.left.shape), s))
     return out
 
 
@@ -153,13 +158,12 @@ def _dispatch(routes: list) -> tuple:
     left out of a list could match a path that the list is read for."""
     by_literal, others = {}, []
     for r in routes:
-        first = r.steps[0] if r.steps and r.steps[0].__class__ is str else None
-        if first is None:
+        if not r.literals:
             others.append(r)
             for entries in by_literal.values():
                 entries.append(r)
         else:
-            by_literal.setdefault(first, list(others)).append(r)
+            by_literal.setdefault(r.literals[0], list(others)).append(r)
     return by_literal, others
 
 
@@ -215,37 +219,21 @@ def _strip_route_tags(left, right, x: Value, y: Value) -> Value:
 
 
 def _lookup(table: tuple, path: str):
-    """``(entry, request)`` for the first entry whose pattern matches a
-    prefix of ``path``, or None: also when that entry leaves segments
-    over, as ordered choice commits to the first branch that matches."""
+    """``(entry, request)`` for the first entry whose literals and
+    grammar match a prefix of ``path``, or None: also when that entry
+    leaves segments over, as ordered choice commits to the first branch
+    that matches."""
     segments = split_path(path)
     if segments is None:
         return None
     by_literal, others = table
     n = len(segments)
     for r in by_literal.get(segments[0], others) if n else others:
-        i, caps = 0, []
-        for step in r.steps:
-            if step.__class__ is str:
-                if i == n or segments[i] != step:
-                    break
-                i += 1
-            else:
-                out = step.run(segments, i)
-                if out is None:
-                    break
-                caps.append(out[0])
-                i = out[1]
-        else:
-            out = r.parser.run(segments, i)
-            if out is None:
-                continue
-            if out[1] != n:
-                return None
-            x = out[0]
-            for cap in reversed(caps):
-                x = Pair(cap, x)
-            return r, x
+        k = len(r.literals)
+        if segments[:k] == r.literals:
+            out = r.parser.run(segments, k)
+            if out is not None:
+                return (r, out[0]) if out[1] == n else None
     return None
 
 

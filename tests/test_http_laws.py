@@ -28,12 +28,12 @@ from generators import (
     COMBINATORS, LEAVES, misanswers, random_exchange, random_server,
     reads_back, route,
 )
-from lenserv.containers import product
-from lenserv.deplens import DepLens
+from lenserv.containers import product, tensor, unit_positions
+from lenserv.deplens import DepLens, dep_identity
 from lenserv.engine import handle_get, prepare
 from lenserv.routing import describe_routes, parse_uri
 from lenserv.servers import reparam_server
-from lenserv.values import Inl, IntS, Pair, Schema, encode_json
+from lenserv.values import Inl, IntS, NatS, Pair, Schema, Unit, UnitS, encode_json
 
 
 SEEDS = range(64)
@@ -197,6 +197,67 @@ def test_7_a_route_answers_the_same_under_any_mount(runs):
         if e.request is not None and encode_json(s.lens.view(Pair(e.request, e.before))) != e.answer:
             checked += 1
     assert checked >= 400
+
+
+def _into(c):
+    """A lens into state container ``c`` from ``c`` beside a unit."""
+    return DepLens.from_run(tensor(c, unit_positions(UnitS())), c,
+                            lambda v: (v.first, lambda d: Pair(d, Unit())))
+
+
+def _answers_alike(seed, got, want) -> None:
+    # As in test 5: the same draws on both sides, so the logs part at
+    # the first answer that differs.
+    got_log = random_exchange(got, random.Random(seed))[1]
+    want_log = random_exchange(want, random.Random(seed))[1]
+    assert list(map(_seen, got_log)) == list(map(_seen, want_log)), seed
+
+
+def test_8_re_parametrising_by_the_identity_changes_nothing(runs):
+    checked = 0
+    for seed, (node, _, _) in zip(SEEDS, runs):
+        s = node.server
+        _answers_alike(seed, reparam_server(s, dep_identity(s.param)), s)
+        checked += 1
+    assert checked >= len(SEEDS)
+
+
+def test_9_re_parametrising_twice_is_once_by_the_composite(runs):
+    checked = 0
+    for seed, (node, _, _) in zip(SEEDS, runs):
+        s = node.server
+        l1 = _into(s.param)
+        l2 = _into(l1.src)
+        _answers_alike(seed, reparam_server(reparam_server(s, l1), l2),
+                       reparam_server(s, l2 >> l1))
+        checked += 1
+    assert checked >= len(SEEDS)
+
+
+def test_10_a_prefix_commutes_with_a_re_parametrisation(runs):
+    # ... literal or typed: a prefix touches only the request.
+    checked = 0
+    for seed, (node, _, _) in zip(SEEDS, runs):
+        s = node.server
+        l = _into(s.param)
+        for prefix in ("p", NatS()):
+            _answers_alike(seed, prefix / reparam_server(s, l), reparam_server(prefix / s, l))
+            checked += 1
+    assert checked >= 2 * len(SEEDS)
+
+
+def test_11_a_re_parametrisation_distributes_over_clone_choice(runs):
+    # Checked at the first clone_choice node of each seeded server.
+    checked = 0
+    for seed, (node, _, _) in zip(SEEDS, runs):
+        n = next((n for n in node.nodes() if n.kind == "clone_choice"), None)
+        if n is None:
+            continue
+        a, b = (kid.server for kid in n.kids)
+        l = _into(a.param)
+        _answers_alike(seed, reparam_server(a & b, l), reparam_server(a, l) & reparam_server(b, l))
+        checked += 1
+    assert checked >= 15
 
 
 def _golden(runs) -> bytes:

@@ -1,8 +1,10 @@
-"""The engine's route table.  ``prepare`` spreads ``&`` and the literal
-prefixes of a server into one ordered table of routes, and rebuilds each
-capture and ``reparam_server`` over every branch of a choice below it,
-so ``+``, the ``&`` of two re-parametrisations, spreads too; a request is
-answered by the first entry whose pattern matches a prefix of its path.
+"""The engine's route table.  ``prepare`` spreads ``&`` and the prefixes
+of a server into one ordered table of routes.  Each leaf is rebuilt
+under its captures and the literals below them, then under one
+``reparam_server`` by the composite of every re-parametrisation above
+it, so ``+``, the ``&`` of two re-parametrisations, spreads too; only
+the leading literals are lookup steps.  A request is answered by the
+first entry whose literals and grammar match a prefix of its path.
 These tests hold that table to the answers of the same server rebuilt
 without its ``form``, which the engine serves as one entry through the
 whole request grammar, as ordered choice reads it."""
@@ -35,15 +37,19 @@ def _chain(n: int) -> Server:
         f"r{i}" / get_lens(UnitS(), c, IntS(), lambda st, u, i=i: Int(i)) for i in range(n)])
 
 
-def _answers_under_a_tight_recursion_limit(server: Server):
+def _answers_under_a_tight_recursion_limit(server: Server, prefix: str = "",
+                                            answer: str = "{}"):
+    """GET ``prefix`` + ``/r0``, ``/r299`` and ``/r300`` of a 300-route
+    chain; ``answer`` formats the first two's expected bodies."""
     p = prepare(server)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     try:
-        answers = [handle_get(p, path) for path in ("/r0", "/r299", "/r300")]
+        answers = [handle_get(p, prefix + path) for path in ("/r0", "/r299", "/r300")]
     finally:
         sys.setrecursionlimit(limit)
-    assert [(r.status, r.body) for r in answers[:2]] == [(200, "0"), (200, "299")]
+    assert [(r.status, r.body) for r in answers[:2]] == [
+        (200, answer.format(0)), (200, answer.format(299))]
     assert answers[2].status == 404
 
 
@@ -54,6 +60,11 @@ def test_a_deep_and_chain_answers_without_a_frame_per_level():
 def test_a_deep_and_chain_under_reparam_answers_without_a_frame_per_level():
     _answers_under_a_tight_recursion_limit(
         reparam_server(_chain(300), fst_lens(ProdS(IntS(), BoolS()))))
+
+
+def test_a_deep_and_chain_under_a_capture_answers_without_a_frame_per_level():
+    # Spreading goes on below a capture: no entry reads the whole chain.
+    _answers_under_a_tight_recursion_limit(NatS() / _chain(300), "/5", "[5,{}]")
 
 
 def test_prepare_refuses_a_chain_too_deep_for_the_route_grammar():
@@ -88,12 +99,32 @@ def _distributed_servers():
             (a + b) + (("c" / put) & ("d" / add))]
 
 
+def _appended_servers():
+    """A literal entry followed by one of no literal, which the table
+    files under that literal too; two re-parametrisations, which fuse
+    into one; a capture above a re-parametrisation; and a literal below
+    a capture, which the entry's own grammar reads."""
+    c = const_of(IntS())
+    pair = ProdS(IntS(), BoolS())
+    add = get_lens(IntS(), c, IntS(), lambda st, n: Int(st.i + n.i))
+    put = post_lens(UnitS(), c, IntS(), lambda st, u, body: body)
+    text = get_lens(TextS(), c, TextS(), lambda st, x: x)
+    a, b = "a" / add, "b" / put
+    return [("x" / get_lens(IntS(), c, IntS(), lambda st, n: n)) & text,
+            reparam_server(reparam_server(a & b, fst_lens(pair)),
+                           fst_lens(ProdS(pair, TextS()))),
+            NatS() / reparam_server(a & b, fst_lens(pair)),
+            "p" / (NatS() / (("q" / add) & b))]
+
+
 SERVERS = ([("demo_" + f.__name__, f()) for f in (build_calculator, build_iot, build_todo,
                                                    build_combined)]
            + [(f"seed{seed}", random_server(random.Random(seed)).server) for seed in range(64)]
            + list(zip(("text_then_literal", "unit_then_literal"), _shadowed_servers()))
            + list(zip(("reparam_over_and", "capture_over_sum", "sum_over_sum_and_and"),
-                      _distributed_servers())))
+                      _distributed_servers()))
+           + list(zip(("literal_then_text", "reparam_over_reparam", "capture_over_reparam",
+                       "literal_under_capture"), _appended_servers())))
 
 _CAPTURES = {
     "Int": lambda rng: str(rng.randint(-9, 9)),
