@@ -23,7 +23,7 @@ from .values import (
     Value, Unit, Bool, Int, Nat, Text, Pair, Inl, Inr, List, Map,
     Schema, UnitS, BoolS, IntS, NatS, TextS, LitS, ProdS, SumS, ListS, MapS,
     conforms, is_scalar_schema, encode_json, decode_json, DecodeError,
-    default_value, generate_value, enumerate_values, map_lookup, map_insert,
+    default_value, generate_value, map_lookup, map_insert,
 )
 from .lens import (
     Boundary, compose, parallel, identity, fst_lens, snd_lens, LawReport,

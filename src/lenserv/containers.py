@@ -19,17 +19,13 @@ nothing (``unit_positions``) or stores one map entry (``keyed``).
 Containers built from these combinators carry a structural description
 (``form``), which later layers use to compare containers, derive state
 update actions, and pick default values.  Hand-rolled containers have
-``form=None``; they, and containers built by different combinators, are
-compared extensionally on sampled shape values.
+``form=None``, and compare equal only to themselves.
 """
 
-import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .values import (
-    Inl, Inr, MapS, ProdS, Schema, SumS, UnitS, Value, generate_value,
-)
+from .values import Inl, Inr, MapS, ProdS, Schema, SumS, UnitS, Value
 
 
 __all__ = [
@@ -114,15 +110,32 @@ def mount(seg: Schema, c: Container) -> Container:
     return Container(ProdS(seg, c.shape), lambda v: c.position(v.second), form=("mount", seg, c))
 
 
-AGREE_SAMPLES = 24
+def _fixed(c: Container) -> Schema | None:
+    """The one position schema ``c`` has at every shape value, or None."""
+    tag = c.form[0] if c.form else None
+    if tag == "pinned":
+        return c.form[1]
+    if tag == "mount":
+        return _fixed(c.form[2])
+    if tag is None:
+        return None
+    a, b = _fixed(c.form[1]), _fixed(c.form[2])
+    if a is None or b is None:
+        return None
+    if tag == "coproduct":
+        return a if a == b else None
+    return (ProdS if tag == "tensor" else SumS)(a, b)
 
 
 def _disagreement(a: Container, b: Container) -> tuple | None:
     """The first pair of containers at which ``a`` and ``b`` differ, or
     None.  Forms with one tag compare part by part: schemas with ``==``
     (and a pinned pair's shapes, left out of its form), containers by
-    descending.  Other pairs compare shapes, then positions at sampled
-    shapes: ``tensor(const_of(A), const_of(B))`` is ``const_of(ProdS(A, B))``."""
+    descending.  Other pairs agree when their shapes are equal and both
+    have one position schema everywhere, the same one:
+    ``tensor(const_of(A), const_of(B))`` is ``const_of(ProdS(A, B))``.
+    No position function is called, so a formless container agrees
+    only with itself."""
     if a is b:
         return None
     if a.form and b.form and a.form[0] == b.form[0]:
@@ -135,17 +148,13 @@ def _disagreement(a: Container, b: Container) -> tuple | None:
             elif found := _disagreement(x, y):
                 return found
         return None
-    if a.shape != b.shape:
+    fixed = _fixed(a)
+    if fixed is None or a.shape != b.shape or fixed != _fixed(b):
         return a, b
-    rng = random.Random(7)
-    for _ in range(AGREE_SAMPLES):
-        v = generate_value(a.shape, rng)
-        if a.position(v) != b.position(v):
-            return a, b
     return None
 
 
 def agree(a: Container, b: Container) -> bool:
-    """Decide (well, approximate) container equality for composition
-    preconditions: ``a`` and ``b`` have no disagreement."""
+    """Decide container equality for composition preconditions, from
+    the forms alone: ``a`` and ``b`` have no disagreement."""
     return _disagreement(a, b) is None

@@ -4,10 +4,10 @@ Values are immutable trees: unit, booleans, integers, naturals, text,
 pairs, tagged sums, lists, and ordered maps.  Schemas describe sets of
 values.  What a schema means is derived once, one case per schema kind:
 membership (``conforms`` walks the whole value, so a state commit
-checks only its diff), decoding, the default, generation and
-enumeration.  The same universe is used for request paths, request and
-response bodies, and server state, so a single canonical JSON codec
-(``encode_json`` / ``decode_json``) covers all wire traffic.
+checks only its diff), decoding, the default and generation.  The
+same universe is used for request paths, request and response bodies,
+and server state, so a single canonical JSON codec (``encode_json`` /
+``decode_json``) covers all wire traffic.
 
 Everything here compares structurally, which is what makes lens laws
 decidable by testing: two values are equal exactly when their trees are.
@@ -27,7 +27,7 @@ __all__ = [
     "ProdS", "SumS", "ListS", "MapS",
     "conforms", "is_scalar_schema",
     "DecodeError", "encode_json", "decode_json",
-    "default_value", "generate_value", "enumerate_values",
+    "default_value", "generate_value",
     "map_lookup", "map_insert",
 ]
 
@@ -254,33 +254,28 @@ def is_scalar_schema(s: Schema) -> bool:
 
 class _Kind(NamedTuple):
     """What a schema means, side by side: membership, the decoder from
-    parsed JSON, the default, the generator, and all values (or None)."""
+    parsed JSON, the default and the generator."""
 
     member: Callable[[Value], bool]
     decode: Callable[[object], Value]
     default: Value
     generate: Callable[[random.Random], Value]
-    values: tuple | None
 
 
 # Equal schemas share one derivation.  Bounded, because a hand-rolled
 # container's position function may build a new schema for every state.
 per_schema = functools.lru_cache(maxsize=1024)
 
-ENUMERATION_LIMIT = 512
-
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 _-"
 
 # The scalars with a payload: the value class, which parsed JSON objects
-# it decodes, the default payload, how to draw a payload, the values.
+# it decodes, the default payload, how to draw a payload.
 _SCALAR_KINDS = {
-    BoolS: (Bool, lambda o: o.__class__ is bool, False, lambda rng: rng.random() < 0.5,
-            (Bool(False), Bool(True))),
-    IntS: (Int, lambda o: o.__class__ is int, 0, lambda rng: rng.randint(-1000, 1000), None),
-    NatS: (Nat, lambda o: o.__class__ is int and o >= 0, 0, lambda rng: rng.randint(0, 1000),
-           None),
+    BoolS: (Bool, lambda o: o.__class__ is bool, False, lambda rng: rng.random() < 0.5),
+    IntS: (Int, lambda o: o.__class__ is int, 0, lambda rng: rng.randint(-1000, 1000)),
+    NatS: (Nat, lambda o: o.__class__ is int and o >= 0, 0, lambda rng: rng.randint(0, 1000)),
     TextS: (Text, lambda o: o.__class__ is str and (o.isascii() or _utf8(o)), "",
-            lambda rng: "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 8))), None),
+            lambda rng: "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 8)))),
 }
 
 
@@ -311,27 +306,25 @@ def _derive(s: Schema) -> _Kind:
     """Derive what ``s`` means from its kind and its parts' kinds."""
     t = s.__class__
     if t in _SCALAR_KINDS:
-        cls, ok, payload, draw, values = _SCALAR_KINDS[t]
+        cls, ok, payload, draw = _SCALAR_KINDS[t]
         # A member text must encode as UTF-8, as a decoded one does.
         member = ((lambda v: v.__class__ is Text and ok(v.s)) if t is TextS
                   else lambda v: v.__class__ is cls)
         return _Kind(member, lambda o: cls(o) if ok(o) else _mismatch(s, o),
-                     cls(payload), lambda rng: cls(draw(rng)), values)
+                     cls(payload), lambda rng: cls(draw(rng)))
     if t is UnitS or t is LitS:
         v0 = Unit() if t is UnitS else Text(s.lit)
         o0 = _to_obj(v0)
         return _Kind(lambda v: v == v0, lambda o: v0 if o == o0 else _mismatch(s, o),
-                     v0, lambda rng: v0, (v0,))
+                     v0, lambda rng: v0)
     if t is ProdS:
         a, b = _kind(s.left), _kind(s.right)
-        finite = a.values and b.values and len(a.values) * len(b.values) <= ENUMERATION_LIMIT
         return _Kind(
             lambda v: v.__class__ is Pair and a.member(v.first) and b.member(v.second),
             lambda o: (Pair(a.decode(o[0]), b.decode(o[1])) if o.__class__ is list and len(o) == 2
                        else _mismatch(s, o)),
             Pair(a.default, b.default),
-            lambda rng: Pair(a.generate(rng), b.generate(rng)),
-            tuple(Pair(x, y) for x in a.values for y in b.values) if finite else None)
+            lambda rng: Pair(a.generate(rng), b.generate(rng)))
     if t is SumS:
         a, b = _kind(s.left), _kind(s.right)
 
@@ -342,19 +335,17 @@ def _derive(s: Schema) -> _Kind:
                 if "R" in o:
                     return Inr(b.decode(o["R"]))
             _mismatch(s, o)
-        finite = a.values and b.values and len(a.values) + len(b.values) <= ENUMERATION_LIMIT
         return _Kind(
             lambda v: (a.member(v.value) if v.__class__ is Inl
                        else v.__class__ is Inr and b.member(v.value)),
             decode, Inl(a.default),
-            lambda rng: Inl(a.generate(rng)) if rng.random() < 0.5 else Inr(b.generate(rng)),
-            (*map(Inl, a.values), *map(Inr, b.values)) if finite else None)
+            lambda rng: Inl(a.generate(rng)) if rng.random() < 0.5 else Inr(b.generate(rng)))
     if t is ListS:
         e = _kind(s.elem)
         return _Kind(
             lambda v: v.__class__ is List and all(map(e.member, v.items)),
             lambda o: List(map(e.decode, o)) if o.__class__ is list else _mismatch(s, o),
-            List(()), lambda rng: List(e.generate(rng) for _ in range(rng.randint(0, 4))), None)
+            List(()), lambda rng: List(e.generate(rng) for _ in range(rng.randint(0, 4))))
     if t is MapS:
         k, x = _kind(s.key), _kind(s.val)
 
@@ -381,7 +372,7 @@ def _derive(s: Schema) -> _Kind:
         return _Kind(
             lambda v: (v.__class__ is Map and all(map(k.member, v._index))
                        and all(map(x.member, v._index.values()))),
-            decode, Map(()), generate, None)
+            decode, Map(()), generate)
     raise TypeError(f"unknown schema {s!r}")
 
 
@@ -406,13 +397,6 @@ def generate_value(s: Schema, rng: random.Random) -> Value:
     0..1000, texts to short strings; containers stay small so sampled
     law checks run fast."""
     return _kind(s).generate(rng)
-
-
-def enumerate_values(s: Schema) -> list | None:
-    """All values of a finite schema, or None when the schema is
-    infinite or the enumeration would exceed ``ENUMERATION_LIMIT``."""
-    values = _kind(s).values
-    return None if values is None else list(values)
 
 
 # ---------------------------------------------------------------------------

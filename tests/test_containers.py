@@ -5,6 +5,7 @@ from lenserv.containers import (
     agree,
     const_of,
     coproduct,
+    mount,
     pinned,
     product,
     tensor,
@@ -17,6 +18,7 @@ from lenserv.values import (
     Inr,
     Int,
     IntS,
+    LitS,
     Pair,
     ProdS,
     SumS,
@@ -76,6 +78,26 @@ def test_positions_are_total_in_value_dependent_containers():
 # --------------------------------------------------------------------- agree
 
 
+A, B, P, Q = IntS(), BoolS(), TextS(), UnitS()
+
+# Containers built by different combinators, each beside its pinned
+# twin: the same shape and the one position schema it has everywhere.
+TWINS = [
+    (tensor(const_of(A), const_of(B)), const_of(ProdS(A, B))),
+    (product(const_of(A), const_of(B)), pinned(ProdS(A, B), SumS(A, B))),
+    (coproduct(pinned(A, P), pinned(B, P)), pinned(SumS(A, B), P)),
+    (mount(LitS("x"), const_of(A)), pinned(ProdS(LitS("x"), A), A)),
+]
+
+# The same pairs with one position changed.
+SKEWED = [
+    (tensor(const_of(A), pinned(B, P)), const_of(ProdS(A, B))),
+    (product(const_of(A), const_of(B)), pinned(ProdS(A, B), SumS(A, P))),
+    (coproduct(pinned(A, P), pinned(B, Q)), pinned(SumS(A, B), P)),
+    (mount(LitS("x"), const_of(A)), pinned(ProdS(LitS("x"), A), B)),
+]
+
+
 def test_agree_on_identical_and_equal_containers():
     a = const_of(IntS())
     assert agree(a, a)
@@ -84,6 +106,8 @@ def test_agree_on_identical_and_equal_containers():
         tensor(const_of(IntS()), const_of(BoolS())),
         tensor(const_of(IntS()), const_of(BoolS())),
     )
+    for x, y in TWINS:
+        assert agree(x, y) and agree(y, x), (x, y)
 
 
 def test_agree_rejects_different_shapes_and_positions():
@@ -93,12 +117,23 @@ def test_agree_rejects_different_shapes_and_positions():
         product(const_of(IntS()), const_of(BoolS())),
         tensor(const_of(IntS()), const_of(BoolS())),
     )
+    for x, y in SKEWED:
+        assert not agree(x, y) and not agree(y, x), (x, y)
+    # Positions IntS everywhere but at Inr(Inr(Inr(Inr(Unit())))).
+    deep = pinned(UnitS(), BoolS())
+    for _ in range(4):
+        deep = coproduct(pinned(UnitS(), IntS()), deep)
+    assert not agree(deep, pinned(deep.shape, IntS()))
 
 
-def test_agree_falls_back_to_sampling_for_formless_containers():
-    handmade = Container(IntS(), lambda v: IntS())
-    assert agree(handmade, const_of(IntS()))
-    assert agree(const_of(IntS()), handmade)
+def test_a_formless_container_agrees_only_with_itself():
+    def never(v):
+        raise AssertionError("agree called a position function")
 
-    skewed = Container(IntS(), lambda v: BoolS())
-    assert not agree(handmade, skewed)
+    handmade = Container(IntS(), never)
+    assert agree(handmade, handmade)
+    assert not agree(handmade, const_of(IntS()))
+    assert not agree(const_of(IntS()), handmade)
+
+    rare = Container(IntS(), lambda v: BoolS() if v.i == 5000 else IntS())
+    assert not agree(rare, const_of(IntS()))

@@ -30,7 +30,7 @@ from generators import (
 )
 from lenserv.containers import product, tensor, unit_positions
 from lenserv.deplens import DepLens, dep_identity
-from lenserv.engine import handle_get, prepare
+from lenserv.engine import handle_get, handle_post, prepare
 from lenserv.routing import describe_routes, parse_uri
 from lenserv.servers import reparam_server
 from lenserv.values import Inl, IntS, NatS, Pair, Schema, Unit, UnitS, encode_json
@@ -258,6 +258,51 @@ def test_11_a_re_parametrisation_distributes_over_clone_choice(runs):
         _answers_alike(seed, reparam_server(a & b, l), reparam_server(a, l) & reparam_server(b, l))
         checked += 1
     assert checked >= 15
+
+
+def _replay(seed, got, want) -> None:
+    """Send the requests of ``got``'s exchange for ``seed`` to ``want``,
+    from the same starting state: each must get the same status and
+    answer, and leave the same state.  Request schemas differ between
+    the two, so a second ``random_exchange`` would draw other paths."""
+    log = random_exchange(got, random.Random(seed))[1]
+    p = prepare(want, initial=log[0].before)
+    for e in log:
+        r = handle_get(p, e.path) if e.body is None else handle_post(p, e.path, e.body)
+        assert (r.status, r.body, p.cell.snapshot()) == (e.status, e.answer, e.after), (seed, e)
+
+
+def _choices(runs):
+    """``(seed, a, b)`` for each clone_choice node ``a & b`` of each
+    seeded server."""
+    for seed, (node, _, _) in zip(SEEDS, runs):
+        for n in node.nodes():
+            if n.kind == "clone_choice":
+                yield seed, *(kid.server for kid in n.kids)
+
+
+def test_12_clone_choice_is_associative(runs):
+    # The route table reads a chain of & as one ordered choice.
+    checked = 0
+    for seed, a, b in _choices(runs):
+        left, right = (a & b) & a, a & (b & a)
+        _replay(seed, left, right)
+        _replay(seed, right, left)
+        checked += 2
+    assert checked >= 64
+
+
+def test_13_a_prefix_distributes_over_clone_choice(runs):
+    # ... literal or typed: the route table spreads a prefix over the
+    # entries below it.
+    checked = Counter()
+    for seed, a, b in _choices(runs):
+        for prefix in ("p", NatS()):
+            outside, inside = prefix / (a & b), (prefix / a) & (prefix / b)
+            _replay(seed, outside, inside)
+            _replay(seed, inside, outside)
+            checked[prefix] += 2
+    assert checked["p"] >= 64 and checked[NatS()] >= 64
 
 
 def _golden(runs) -> bytes:

@@ -186,16 +186,6 @@ def test_law_check_rejects_a_lens_polymorphic_at_some_point():
         check_laws(DepLens(c, c, view=lambda x: x, update=update), rng=random.Random(15))
 
 
-def test_exhaustive_law_check():
-    s = ProdS(BoolS(), BoolS())
-    report = check_laws(fst_lens(s), exhaustive=True)
-    assert report.ok
-    assert report.samples == 4 * 2  # every state paired with every part
-
-    with pytest.raises(ValueError):
-        check_laws(fst_lens(ProdS(IntS(), BoolS())), exhaustive=True)
-
-
 def test_reported_counterexamples_are_honest():
     # A view/update pair that silently drops large writes: get-put holds,
     # put-get does not, and the reported pair must actually witness that.

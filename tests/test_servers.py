@@ -5,7 +5,7 @@ import pytest
 
 import lenserv.deplens
 from lenserv.containers import (
-    Container, const_of, keyed, pinned, product, tensor, unit_positions,
+    Container, const_of, coproduct, keyed, pinned, product, tensor, unit_positions,
 )
 from lenserv.deplens import BoundaryMismatch, DepLens
 from lenserv.lens import fst_lens, snd_lens
@@ -138,6 +138,15 @@ def test_a_boundary_mismatch_names_the_disagreeing_components():
         reparam_server(s, fst_lens(ProdS(BoolS(), TextS())))
     assert str(err.value) == ("cannot compose: Container(BoolS, pinned BoolS) "
                               "does not meet Container(IntS, pinned IntS)")
+
+
+def test_clone_choice_refuses_states_that_differ_at_one_shape_value():
+    # Positions IntS everywhere but at Inr(Inr(Inr(Inr(Unit())))).
+    deep = pinned(UnitS(), BoolS())
+    for _ in range(4):
+        deep = coproduct(pinned(UnitS(), IntS()), deep)
+    with pytest.raises(BoundaryMismatch):
+        state_server(deep) & state_server(pinned(deep.shape, IntS()))
 
 
 def test_seq_chains_responses_into_requests():

@@ -33,7 +33,6 @@ from lenserv.values import (
     decode_json,
     default_value,
     encode_json,
-    enumerate_values,
     generate_value,
     map_insert,
     map_lookup,
@@ -195,31 +194,6 @@ def test_default_values():
 @given(schemas())
 def test_default_conforms(schema):
     assert conforms(schema, default_value(schema))
-
-
-# ----------------------------------------------------------------- enumerate
-
-
-def test_enumerate_finite():
-    vals = enumerate_values(ProdS(BoolS(), SumS(UnitS(), BoolS())))
-    assert vals is not None
-    assert len(vals) == 2 * 3
-    assert len(set(vals)) == len(vals)
-
-
-def test_enumerate_infinite_is_none():
-    assert enumerate_values(IntS()) is None
-    assert enumerate_values(ListS(UnitS())) is None
-    assert enumerate_values(ProdS(BoolS(), TextS())) is None
-
-
-@settings(max_examples=200)
-@given(schemas())
-def test_enumeration_is_none_or_a_few_distinct_conforming_values(schema):
-    vals = enumerate_values(schema)
-    if vals is not None:
-        assert len(vals) <= 512 and len(set(vals)) == len(vals)
-        assert all(conforms(schema, v) for v in vals)
 
 
 # ----------------------------------------------------------------------- map
