@@ -14,15 +14,15 @@ import random
 
 from lenserv import (
     Bool, BoolS, DepLens, IntS, List, ListS, ProdS, TextS, check_laws,
-    compose, const_of, fst_lens, snd_lens,
+    const_of, fst_lens, snd_lens,
 )
 
 # a nested record: (name, (address, birthdate)) with address = (city, zip)
 address = ProdS(TextS(), IntS())
 user = ProdS(TextS(), ProdS(address, TextS()))
 
-address_of = compose(snd_lens(user), fst_lens(ProdS(address, TextS())))
-zip_of = compose(address_of, snd_lens(address))
+address_of = snd_lens(user) >> fst_lens(ProdS(address, TextS()))
+zip_of = address_of >> snd_lens(address)
 
 for name, lens in [("address_of", address_of), ("zip_of", zip_of)]:
     report = check_laws(lens, n=1000, rng=random.Random(1))

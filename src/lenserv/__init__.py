@@ -26,8 +26,7 @@ from .values import (
     default_value, generate_value, map_lookup, map_insert,
 )
 from .lens import (
-    Boundary, compose, parallel, identity, fst_lens, snd_lens, LawReport,
-    check_laws,
+    Boundary, identity, fst_lens, snd_lens, LawReport, check_laws,
 )
 from .containers import (
     Container, const_of, unit_positions, keyed, pinned, product, coproduct,

@@ -366,9 +366,13 @@ class _Connection(socketserver.StreamRequestHandler):
             raise _Refused(408, "request body timed out") from None
         if len(raw) < length:
             raise _Refused(400, "request body ended early")
+        path = path.split("?", 1)[0]
+        if not path.startswith("/"):  # RFC 9112 §3.2.2: absolute form, path after the authority
+            scheme, sep, rest = path.partition("://")
+            if sep and scheme.lower() in ("http", "https"):
+                path = "/" + rest.partition("/")[2]
         if path.startswith("//"):  # one leading slash, as the stdlib reads it
             path = "/" + path.lstrip("/")
-        path = path.split("?", 1)[0]
         if self.method == "GET":
             resp = handle_get(p, path)
         elif self.method == "POST":

@@ -2,11 +2,10 @@
 
 A boundary is a forward-facing and a backward-facing schema, the
 container ``pinned(fwd, bwd)``, so a plain lens is a ``DepLens`` whose
-positions ignore the shape value.  ``Boundary``, ``identity``,
-``compose`` and ``parallel`` are the container and lens operations
-under their plain-lens names.  For monomorphic lenses the classic
-well-behavedness laws are testable; ``check_laws`` samples them and
-reports counterexamples.
+positions ignore the shape value.  ``Boundary`` and ``identity`` are
+the container and lens operations under their plain-lens names.  For
+monomorphic lenses the classic well-behavedness laws are testable;
+``check_laws`` samples them and reports counterexamples.
 """
 
 import random
@@ -14,20 +13,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .containers import const_of, pinned
-from .deplens import DepLens, dep_compose, dep_identity, dep_parallel
+from .deplens import DepLens, dep_identity
 from .values import Pair, ProdS, Schema, Value, conforms, generate_value
 
 
 __all__ = [
-    "Boundary", "compose", "parallel", "identity", "fst_lens", "snd_lens",
-    "LawReport", "check_laws",
+    "Boundary", "identity", "fst_lens", "snd_lens", "LawReport", "check_laws",
 ]
 
 
 Boundary = pinned
 identity = dep_identity
-compose = dep_compose
-parallel = dep_parallel
 
 
 def fst_lens(pair_schema: ProdS) -> DepLens:

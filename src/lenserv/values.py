@@ -4,10 +4,10 @@ Values are immutable trees: unit, booleans, integers, naturals, text,
 pairs, tagged sums, lists, and ordered maps.  Schemas describe sets of
 values.  What a schema means is derived once, one case per schema kind:
 membership (``conforms`` walks the whole value, so a state commit
-checks only its diff), decoding, the default and generation.  The
-same universe is used for request paths, request and response bodies,
-and server state, so a single canonical JSON codec (``encode_json`` /
-``decode_json``) covers all wire traffic.
+checks only its diff), decoding, the default and generation.  Request
+paths, bodies and server state share this universe, so one canonical
+JSON codec covers all wire traffic: ``decode_json`` is schema-directed,
+and ``encode_json`` gives ``json`` each value's form one level down.
 
 Everything here compares structurally, which is what makes lens laws
 decidable by testing: two values are equal exactly when their trees are.
@@ -17,6 +17,7 @@ import functools
 import json
 import random
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 
@@ -313,8 +314,7 @@ def _derive(s: Schema) -> _Kind:
         return _Kind(member, lambda o: cls(o) if ok(o) else _mismatch(s, o),
                      cls(payload), lambda rng: cls(draw(rng)))
     if t is UnitS or t is LitS:
-        v0 = Unit() if t is UnitS else Text(s.lit)
-        o0 = _to_obj(v0)
+        v0, o0 = (Unit(), None) if t is UnitS else (Text(s.lit), s.lit)
         return _Kind(lambda v: v == v0, lambda o: v0 if o == o0 else _mismatch(s, o),
                      v0, lambda rng: v0)
     if t is ProdS:
@@ -407,40 +407,38 @@ class DecodeError(Exception):
     """Raised when text is not valid JSON or does not match the schema."""
 
 
-def _to_obj(v: Value):
-    if isinstance(v, Unit):
-        return None
-    if isinstance(v, Bool):
-        return v.b
-    if isinstance(v, Int):
-        return v.i
-    if isinstance(v, Nat):
-        return v.n
-    if isinstance(v, Text):
-        return v.s
-    if isinstance(v, Pair):
-        return [_to_obj(v.first), _to_obj(v.second)]
-    if isinstance(v, Inl):
-        return {"L": _to_obj(v.value)}
-    if isinstance(v, Inr):
-        return {"R": _to_obj(v.value)}
-    if isinstance(v, List):
-        return [_to_obj(x) for x in v.items]
-    if isinstance(v, Map):
-        return [[_to_obj(k), _to_obj(x)] for k, x in v._index.items()]
+# Each value class one level down, as the ``json`` encoder then walks it.
+_FORMS = {
+    Unit: lambda v: None,
+    Bool: attrgetter("b"),
+    Int: attrgetter("i"),
+    Nat: attrgetter("n"),
+    Text: attrgetter("s"),
+    Pair: attrgetter("first", "second"),
+    Inl: lambda v: {"L": v.value},
+    Inr: lambda v: {"R": v.value},
+    List: attrgetter("items"),
+    Map: attrgetter("entries"),
+}
+
+
+def _unknown(v):
     raise TypeError(f"unknown value {v!r}")
 
 
-_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+# Values are immutable trees, so the encoder's cycle check has nothing to find.
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, check_circular=False,
+                           default=lambda v: _FORMS.get(v.__class__, _unknown)(v)).encode
 
 
 def encode_json(v: Value) -> str:
     """Deterministic JSON rendering; equal values give identical text.
+    Maps are arrays of ``[key, value]`` pairs in entry order.
 
     >>> encode_json(Pair(Int(2), Inl(Text("hi"))))
     '[2,{"L":"hi"}]'
     """
-    return _encode(_to_obj(v))
+    return _encode(v)
 
 
 def _reject_const(token):

@@ -12,10 +12,10 @@ from collections import Counter
 from conftest import ADDRESS, USER, address_lens, append_lens, running, street_number_lens
 from generators import random_schema, route_like, route_value
 from lenserv.containers import const_of, product
-from lenserv.deplens import DepLens
+from lenserv.deplens import DepLens, dep_compose
 from lenserv.engine import handle_get, prepare
 from lenserv.demos import build_calculator, build_combined, build_iot, build_todo
-from lenserv.lens import Boundary, check_laws, compose, fst_lens, identity, snd_lens
+from lenserv.lens import Boundary, check_laws, fst_lens, identity, snd_lens
 from lenserv.routing import parse_uri, render_uri
 from lenserv.servers import clone_choice, ext_choice, get_lens, post_lens, reparam_server
 from lenserv.values import (
@@ -45,7 +45,7 @@ def test_01_lens_laws_and_stability():
         snd_lens(USER),
         identity(Boundary(USER, USER)),
         address_lens,
-        compose(address_lens, street_number_lens),
+        dep_compose(address_lens, street_number_lens),
     ]
     for l in lawful:
         report = check_laws(l, n=1000, rng=random.Random(41))
@@ -83,7 +83,7 @@ def test_01_lens_laws_and_stability():
     rng = random.Random(43)
     for _ in range(20):
         a, b = rng.choice(pool)
-        assert check_laws(compose(a, b), n=1000, rng=rng).ok
+        assert check_laws(dep_compose(a, b), n=1000, rng=rng).ok
     print("PASS 01: lens laws, append counterexample, stability")
 
 

@@ -136,6 +136,8 @@ ROWS = [
         + PEEK, [(200, "7")], closes=True),
     Row("http_1_0_keep_alive_in_a_list",
         b"GET /peek HTTP/1.0\r\nConnection: Keep-Alive, x\r\n\r\n" + PEEK, [(200, "7"), (200, "7")]),
+    Row("absolute_form", req(b"GET http://t/peek?x=1"), [(200, "7")]),
+    Row("absolute_form_upper_scheme", req(b"GET HTTP://t:80/peek"), [(200, "7")]),
 ]
 
 # Rows that wait out IDLE_TIMEOUT_S; they run whole only.

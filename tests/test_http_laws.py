@@ -305,6 +305,20 @@ def test_13_a_prefix_distributes_over_clone_choice(runs):
     assert checked["p"] >= 64 and checked[NatS()] >= 64
 
 
+def test_14_composing_with_the_identity_changes_nothing(runs):
+    # These hold on the wire because a GET answer drops the route tags
+    # its own path named, with or without an identity lens around it.
+    checked = Counter()
+    for seed, (node, _, _) in zip(SEEDS, runs):
+        s = node.server
+        for law, twin in (("s >> id", s >> dep_identity(s.right)),
+                          ("id << s", dep_identity(s.left) << s)):
+            _replay(seed, twin, s)
+            _replay(seed, s, twin)
+            checked[law] += 2
+    assert checked["s >> id"] >= 128 and checked["id << s"] >= 128
+
+
 def _golden(runs) -> bytes:
     lines = []
     for seed, (node, p, log) in zip(SEEDS, runs):

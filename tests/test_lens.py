@@ -4,14 +4,12 @@ import pytest
 
 from conftest import ADDRESS, USER, address_lens, append_lens, street_number_lens
 from lenserv.containers import const_of, coproduct, pinned
-from lenserv.deplens import BoundaryMismatch, DepLens
+from lenserv.deplens import BoundaryMismatch, DepLens, dep_compose
 from lenserv.lens import (
     Boundary,
     check_laws,
-    compose,
     fst_lens,
     identity,
-    parallel,
     snd_lens,
 )
 from lenserv.values import (
@@ -40,7 +38,7 @@ def test_projection_lenses():
 
 def test_compose_rejects_mismatched_boundaries():
     with pytest.raises(BoundaryMismatch):
-        compose(fst_lens(ProdS(IntS(), TextS())), fst_lens(ProdS(BoolS(), TextS())))
+        dep_compose(fst_lens(ProdS(IntS(), TextS())), fst_lens(ProdS(BoolS(), TextS())))
 
 
 def _rewrite_street_number(user, n):
@@ -54,7 +52,7 @@ def _rewrite_street_number(user, n):
 
 
 def test_composed_record_access_matches_manual_rewrite():
-    through = compose(address_lens, street_number_lens)
+    through = dep_compose(address_lens, street_number_lens)
     rng = random.Random(5)
     for _ in range(100):
         user = generate_value(USER, rng)
@@ -79,8 +77,8 @@ def test_parallel_is_componentwise():
 
 def test_identity_is_a_unit_for_composition():
     l = address_lens
-    left = compose(identity(l.src), l)
-    right = compose(l, identity(l.dst))
+    left = dep_compose(identity(l.src), l)
+    right = dep_compose(l, identity(l.dst))
     rng = random.Random(8)
     for _ in range(200):
         user = generate_value(USER, rng)
@@ -94,8 +92,8 @@ def test_composition_is_associative():
     outer = snd_lens(USER)
     mid = fst_lens(ProdS(ADDRESS, TextS()))
     inner = snd_lens(ADDRESS)
-    one = compose(compose(outer, mid), inner)
-    two = compose(outer, compose(mid, inner))
+    one = dep_compose(dep_compose(outer, mid), inner)
+    two = dep_compose(outer, dep_compose(mid, inner))
     rng = random.Random(9)
     for _ in range(300):
         user = generate_value(USER, rng)
@@ -114,7 +112,7 @@ def test_laws_hold_for_shipped_lenses():
         snd_lens(USER),
         address_lens,
         street_number_lens,
-        compose(address_lens, street_number_lens),
+        dep_compose(address_lens, street_number_lens),
     ):
         report = check_laws(l, n=1000, rng=random.Random(12))
         assert report.ok, str(report)

@@ -116,6 +116,21 @@ def test_encode_examples():
     assert encode_json(List((Int(1), Int(2)))) == "[1,2]"
     m = Map(((Nat(1), Text("a")), (Nat(2), Text("b"))))
     assert encode_json(m) == '[[1,"a"],[2,"b"]]'
+    # One case per value class, as the encoder's table renders it.
+    assert encode_json(Bool(False)) == "false"
+    assert encode_json(Nat(0)) == "0"
+    assert encode_json(Text("é日\U0001F600")) == '"é日\U0001F600"'
+    assert encode_json(Text('q"\\\n\x00')) == '"q\\"\\\\\\n\\u0000"'
+    assert encode_json(Pair(Unit(), Pair(Bool(True), Unit()))) == "[null,[true,null]]"
+    assert encode_json(Inl(Inr(Inl(Unit())))) == '{"L":{"R":{"L":null}}}'
+    assert encode_json(Inr(Pair(Inl(Nat(3)), Inr(List(()))))) == '{"R":[{"L":3},{"R":[]}]}'
+    assert encode_json(List((List(()), List((Text("ü"),))))) == '[[],["ü"]]'
+    assert encode_json(Map(())) == "[]"
+    unsorted = Map(((Text("z"), Int(1)), (Text("a"), Map(((Int(-1), Unit()),))),
+                    (Text("m"), Int(3))))
+    assert encode_json(unsorted) == '[["z",1],["a",[[-1,null]]],["m",3]]'
+    with pytest.raises(TypeError, match="unknown value"):
+        encode_json(Pair(Int(1), object()))
 
 
 def test_encode_is_insertion_ordered_for_maps():
