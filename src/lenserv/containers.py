@@ -17,12 +17,16 @@ State is pinned: a diff replaces the value (``const_of``), changes
 nothing (``unit_positions``) or stores one map entry (``keyed``).
 
 Containers built from these combinators carry a structural description
-(``form``), which later layers use to compare containers, derive state
-update actions, and pick default values.  Hand-rolled containers have
-``form=None``, and compare equal only to themselves.
+(``form``), which later layers use to compare containers and derive
+state update actions.  A container whose positions ignore the shape
+value keeps that one position schema (``fixed``), read once off its
+form; a combinator's container answers it from ``position``.
+Hand-rolled containers have ``form=None``, and agree only with
+themselves.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .values import Inl, Inr, MapS, ProdS, Schema, SumS, UnitS, Value
@@ -40,6 +44,23 @@ class Container:
     position: Callable[[Value], Schema]
     form: tuple | None = None
 
+    @cached_property
+    def fixed(self) -> Schema | None:
+        """The one position schema at every shape value, or None."""
+        tag = self.form[0] if self.form else None
+        if tag == "pinned":
+            return self.form[1]
+        if tag == "mount":
+            return self.form[2].fixed
+        if tag is None:
+            return None
+        a, b = self.form[1].fixed, self.form[2].fixed
+        if a is None or b is None:
+            return None
+        if tag == "coproduct":
+            return a if a == b else None
+        return (ProdS if tag == "tensor" else SumS)(a, b)
+
     def __repr__(self):
         if self.form is None:
             return f"Container({self.shape!r}, <positions>)"
@@ -47,6 +68,14 @@ class Container:
         if tag == "pinned":
             return f"Container({self.shape!r}, pinned {self.form[1]!r})"
         return f"{tag}({self.form[1]!r}, {self.form[2]!r})"
+
+
+def _built(shape: Schema, pos: Callable[[Value], Schema], form: tuple) -> Container:
+    """The container of ``form``, answering its ``fixed`` schema if it has one."""
+    c = Container(shape, pos, form)
+    if (fixed := c.fixed) is not None:
+        object.__setattr__(c, "position", lambda v: fixed)
+    return c
 
 
 def pinned(shape: Schema, pos: Schema) -> Container:
@@ -82,7 +111,7 @@ def product(a: Container, b: Container) -> Container:
     """Both shapes; a position addresses one component or the other."""
     def pos(v: Value) -> Schema:
         return SumS(a.position(v.first), b.position(v.second))
-    return Container(ProdS(a.shape, b.shape), pos, form=("product", a, b))
+    return _built(ProdS(a.shape, b.shape), pos, ("product", a, b))
 
 
 def coproduct(a: Container, b: Container) -> Container:
@@ -95,45 +124,28 @@ def coproduct(a: Container, b: Container) -> Container:
         if isinstance(v, Inr):
             return b.position(v.value)
         raise TypeError(f"coproduct shape value must be tagged, got {v!r}")
-    return Container(SumS(a.shape, b.shape), pos, form=("coproduct", a, b))
+    return _built(SumS(a.shape, b.shape), pos, ("coproduct", a, b))
 
 
 def tensor(a: Container, b: Container) -> Container:
     """Both shapes and both positions, componentwise."""
     def pos(v: Value) -> Schema:
         return ProdS(a.position(v.first), b.position(v.second))
-    return Container(ProdS(a.shape, b.shape), pos, form=("tensor", a, b))
+    return _built(ProdS(a.shape, b.shape), pos, ("tensor", a, b))
 
 
 def mount(seg: Schema, c: Container) -> Container:
     """``c`` under one more path segment ``seg``; positions are ``c``'s."""
-    return Container(ProdS(seg, c.shape), lambda v: c.position(v.second), form=("mount", seg, c))
-
-
-def _fixed(c: Container) -> Schema | None:
-    """The one position schema ``c`` has at every shape value, or None."""
-    tag = c.form[0] if c.form else None
-    if tag == "pinned":
-        return c.form[1]
-    if tag == "mount":
-        return _fixed(c.form[2])
-    if tag is None:
-        return None
-    a, b = _fixed(c.form[1]), _fixed(c.form[2])
-    if a is None or b is None:
-        return None
-    if tag == "coproduct":
-        return a if a == b else None
-    return (ProdS if tag == "tensor" else SumS)(a, b)
+    return _built(ProdS(seg, c.shape), lambda v: c.position(v.second), ("mount", seg, c))
 
 
 def _disagreement(a: Container, b: Container) -> tuple | None:
     """The first pair of containers at which ``a`` and ``b`` differ, or
     None.  Forms with one tag compare part by part: schemas with ``==``
     (and a pinned pair's shapes, left out of its form), containers by
-    descending.  Other pairs agree when their shapes are equal and both
-    have one position schema everywhere, the same one:
-    ``tensor(const_of(A), const_of(B))`` is ``const_of(ProdS(A, B))``.
+    descending.  Other pairs agree when their shapes and their ``fixed``
+    schemas are equal, and not None: ``tensor(const_of(A), const_of(B))``
+    is ``const_of(ProdS(A, B))``.
     No position function is called, so a formless container agrees
     only with itself."""
     if a is b:
@@ -148,8 +160,7 @@ def _disagreement(a: Container, b: Container) -> tuple | None:
             elif found := _disagreement(x, y):
                 return found
         return None
-    fixed = _fixed(a)
-    if fixed is None or a.shape != b.shape or fixed != _fixed(b):
+    if a.fixed is None or a.shape != b.shape or a.fixed != b.fixed:
         return a, b
     return None
 

@@ -111,17 +111,20 @@ class PreparedServer:
     parser: UriParser
     cell: StateCell
     config: EngineConfig
-    # The route table: the entries under each first literal, and those
-    # for any other first segment, each list in route order.
+    # The route table, as ``_routes`` files it.
     table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "table", _dispatch(_routes(self.server, self.parser)))
+        object.__setattr__(self, "table", _routes(self.server, self.parser))
 
 
-def _routes(server: Server, parser: UriParser) -> list:
-    """Spread ``&`` and the prefixes into route entries, in route order.
-    The ``reparam`` forms met on the way down compose into one lens,
+def _routes(server: Server, parser: UriParser) -> tuple:
+    """Spread ``&`` and the prefixes into route entries, filing each as it
+    is made into ``(by_literal, others)``: under each first literal, the
+    entries that start with it merged in route order with those that
+    start with no literal; ``others`` alone for any other first segment.
+    No entry left out of a list could match a path that the list is read
+    for.  The ``reparam`` forms met on the way down compose into one lens,
     outer first (re-parametrising twice is once by the composite), and
     a prefix, which touches only the request, commutes with it; both
     distribute over ``&``, so ``+``, the ``&`` of two
@@ -130,7 +133,8 @@ def _routes(server: Server, parser: UriParser) -> list:
     the leaf, for the entry's grammar to read.  A formless server is one
     entry, read by ``parser`` at the top.  An explicit stack walks the
     choices, so no nesting depth costs a Python frame."""
-    out, stack = [], [(server, [], (), None)]
+    by_literal, others = {}, []
+    stack = [(server, [], (), None)]
     while stack:
         s, literals, prefixes, lens = stack.pop()
         kind, a, b = s.form or (None, None, None)
@@ -147,23 +151,13 @@ def _routes(server: Server, parser: UriParser) -> list:
                 s = arg / s
             if lens is not None:
                 s = reparam_server(s, lens)
-            out.append(_Route(literals, parser if s is server else parser_for(s.left.shape), s))
-    return out
-
-
-def _dispatch(routes: list) -> tuple:
-    """``(by_literal, others)``: under each first literal, the entries
-    that start with it merged in order with those that start with no
-    literal; ``others`` alone for any other first segment.  No entry
-    left out of a list could match a path that the list is read for."""
-    by_literal, others = {}, []
-    for r in routes:
-        if not r.literals:
-            others.append(r)
-            for entries in by_literal.values():
-                entries.append(r)
-        else:
-            by_literal.setdefault(r.literals[0], list(others)).append(r)
+            r = _Route(literals, parser if s is server else parser_for(s.left.shape), s)
+            if literals:
+                by_literal.setdefault(literals[0], list(others)).append(r)
+            else:
+                others.append(r)
+                for entries in by_literal.values():
+                    entries.append(r)
     return by_literal, others
 
 

@@ -269,13 +269,19 @@ per_schema = functools.lru_cache(maxsize=1024)
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 _-"
 
-# The scalars with a payload: the value class, which parsed JSON objects
-# it decodes, the default payload, how to draw a payload.
+# The scalars with a payload: the value class, its members (the payload
+# of the class decoding gives, each check inline), which parsed JSON
+# objects it decodes, the default payload, how to draw a payload.
 _SCALAR_KINDS = {
-    BoolS: (Bool, lambda o: o.__class__ is bool, False, lambda rng: rng.random() < 0.5),
-    IntS: (Int, lambda o: o.__class__ is int, 0, lambda rng: rng.randint(-1000, 1000)),
-    NatS: (Nat, lambda o: o.__class__ is int and o >= 0, 0, lambda rng: rng.randint(0, 1000)),
-    TextS: (Text, lambda o: o.__class__ is str and (o.isascii() or _utf8(o)), "",
+    BoolS: (Bool, lambda v: v.__class__ is Bool and v.b.__class__ is bool,
+            lambda o: o.__class__ is bool, False, lambda rng: rng.random() < 0.5),
+    IntS: (Int, lambda v: v.__class__ is Int and v.i.__class__ is int,
+           lambda o: o.__class__ is int, 0, lambda rng: rng.randint(-1000, 1000)),
+    NatS: (Nat, lambda v: v.__class__ is Nat and v.n.__class__ is int,
+           lambda o: o.__class__ is int and o >= 0, 0, lambda rng: rng.randint(0, 1000)),
+    TextS: (Text, lambda v: (v.__class__ is Text and v.s.__class__ is str
+                             and (v.s.isascii() or _utf8(v.s))),
+            lambda o: o.__class__ is str and (o.isascii() or _utf8(o)), "",
             lambda rng: "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 8)))),
 }
 
@@ -307,10 +313,7 @@ def _derive(s: Schema) -> _Kind:
     """Derive what ``s`` means from its kind and its parts' kinds."""
     t = s.__class__
     if t in _SCALAR_KINDS:
-        cls, ok, payload, draw = _SCALAR_KINDS[t]
-        # A member text must encode as UTF-8, as a decoded one does.
-        member = ((lambda v: v.__class__ is Text and ok(v.s)) if t is TextS
-                  else lambda v: v.__class__ is cls)
+        cls, member, ok, payload, draw = _SCALAR_KINDS[t]
         return _Kind(member, lambda o: cls(o) if ok(o) else _mismatch(s, o),
                      cls(payload), lambda rng: cls(draw(rng)))
     if t is UnitS or t is LitS:

@@ -50,6 +50,7 @@ def test_product_positions_are_a_sum():
     c = product(const_of(IntS()), const_of(BoolS()))
     assert c.shape == ProdS(IntS(), BoolS())
     assert c.position(Pair(Int(1), Bool(False))) == SumS(IntS(), BoolS())
+    assert c.position(Pair(Int(1), Bool(False))) is c.position(Pair(Int(2), Bool(True)))
 
 
 def test_coproduct_positions_follow_the_tag():
@@ -65,6 +66,7 @@ def test_tensor_positions_are_a_product():
     c = tensor(const_of(IntS()), const_of(BoolS()))
     assert c.shape == ProdS(IntS(), BoolS())
     assert c.position(Pair(Int(1), Bool(False))) == ProdS(IntS(), BoolS())
+    assert c.position(Pair(Int(1), Bool(False))) is c.position(Pair(Int(2), Bool(True)))
 
 
 def test_positions_are_total_in_value_dependent_containers():

@@ -168,6 +168,9 @@ def test_contract_breakage_is_500():
     # forward: handler output does not conform to the response schema
     lying = get_lens(UnitS(), const_of(UnitS()), IntS(), lambda st, u: Text("x"))
     assert handle_get(prepare(lying), "/").status == 500
+    # ... nor does an Int whose payload is not an int
+    lying = get_lens(UnitS(), const_of(UnitS()), IntS(), lambda st, u: Int("seven"))
+    assert handle_get(prepare(lying), "/").status == 500
 
     # backward: handler writes a state of the wrong shape
     corrupting = post_lens(IntS(), const_of(IntS()), IntS(),
@@ -175,6 +178,12 @@ def test_contract_breakage_is_500():
     p = prepare(corrupting, initial=Int(1))
     assert handle_post(p, "/2", "3").status == 500
     assert p.cell.snapshot() == Int(1)  # the bad diff never landed
+
+    # backward: a Bool state written with an int payload
+    corrupting = post_lens(UnitS(), const_of(BoolS()), UnitS(), lambda st, u, body: Bool(1))
+    p = prepare(corrupting)
+    assert handle_post(p, "/", "null").status == 500
+    assert p.cell.snapshot() == Bool(False)
 
     # backward: a well-formed diff paired with a response that does not
     # conform to the request's response position; the diff must not land
@@ -387,7 +396,7 @@ def test_get_never_changes_state():
     assert encode_json(p.cell.snapshot()) == before
 
 
-def test_mixed_requests_derive_no_new_schema_after_warm_up():
+def test_mixed_requests_derive_no_new_schema_after_warm_up(monkeypatch):
     from lenserv import routing, values
     from lenserv.demos import build_combined
 
@@ -413,6 +422,18 @@ def test_mixed_requests_derive_no_new_schema_after_warm_up():
     for _ in range(2000):
         send(rng.choice(paths), rng.choice(bodies))
     assert derivations() == before
+
+    # Nor is any schema hashed: each request meets the schemas its
+    # containers keep, and the derivations kept on them.
+    hashed = []
+    for cls in values.Schema.__subclasses__():
+        def counted(s, hash=cls.__hash__):
+            hashed.append(s)
+            return hash(s)
+        monkeypatch.setattr(cls, "__hash__", counted)
+    for _ in range(2000):
+        send(rng.choice(paths), rng.choice(bodies))
+    assert hashed == []
 
 
 # Each status the engine sends, the request that draws it, and its RFC

@@ -247,7 +247,8 @@ def test_10_a_prefix_commutes_with_a_re_parametrisation(runs):
 
 
 def test_11_a_re_parametrisation_distributes_over_clone_choice(runs):
-    # Checked at the first clone_choice node of each seeded server.
+    # Checked at the first clone_choice node of each seeded server, then
+    # replayed both ways at every clone_choice node.
     checked = 0
     for seed, (node, _, _) in zip(SEEDS, runs):
         n = next((n for n in node.nodes() if n.kind == "clone_choice"), None)
@@ -258,6 +259,14 @@ def test_11_a_re_parametrisation_distributes_over_clone_choice(runs):
         _answers_alike(seed, reparam_server(a & b, l), reparam_server(a, l) & reparam_server(b, l))
         checked += 1
     assert checked >= 15
+    replayed = 0
+    for seed, a, b in _choices(runs):
+        l = _into(a.param)
+        outside, inside = reparam_server(a & b, l), reparam_server(a, l) & reparam_server(b, l)
+        _replay(seed, outside, inside)
+        _replay(seed, inside, outside)
+        replayed += 2
+    assert replayed >= 64
 
 
 def _replay(seed, got, want) -> None:

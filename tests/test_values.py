@@ -89,6 +89,11 @@ def test_conforms_examples():
     assert conforms(NatS(), Nat(0))
     assert not conforms(NatS(), Int(3))
     assert not conforms(IntS(), Bool(True))
+    # A scalar member's payload is of the class decoding gives.
+    assert not conforms(BoolS(), Bool(1))
+    assert not conforms(IntS(), Int(True))
+    assert not conforms(NatS(), Nat(True))
+    assert not conforms(IntS(), Int(1.5))
     assert conforms(LitS("add"), Text("add"))
     assert not conforms(TextS(), Text("\ud800"))  # UTF-8 cannot carry it
     assert not conforms(LitS("add"), Text("sub"))
